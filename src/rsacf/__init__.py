@@ -1,6 +1,5 @@
 """Continued-fraction attacks on RSA keys with small secret exponent."""
 
-from ._kernel import BACKEND as KERNEL_BACKEND
 from .attack import (
     AttackConfig,
     AttackResult,
@@ -27,7 +26,6 @@ from .rsa import (
 )
 
 __all__ = [
-    "KERNEL_BACKEND",
     "AttackConfig",
     "AttackResult",
     "approximation_target",

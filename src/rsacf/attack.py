@@ -8,13 +8,12 @@ the meet-in-the-middle one.
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 
 from . import contfrac
-from ._kernel import power_chain_fps, vvt_scan
-from .mitm_table import DEFAULT_ROW_PRIMES, FingerprintTable, fingerprint_width
+from .mitm_table import FingerprintTable, fingerprint_width, power_chain_fps
 from .numeric import NotInvertibleError, isqrt, mod_inv, mod_pow
-from .rsa import PublicKey, method1_factor
+from .rsa import PublicKey, method1_factor, method1_try
 
 VARIANTS = ("wiener", "vvt", "mitm")
 BOUND_MODES = ("fixed-4d", "quotient", "explicit")
@@ -32,7 +31,6 @@ class AttackConfig:
     gcd_rows: bool = False
     probe_minus_form: bool = False
     m_candidates: tuple | None = None
-    primes: tuple = DEFAULT_ROW_PRIMES
 
     def validate(self):
         if self.variant not in VARIANTS:
@@ -43,7 +41,7 @@ class AttackConfig:
             raise ValueError(f"unknown approximation mode {self.approx!r}")
         if self.variant in ("vvt", "mitm"):
             if self.bound_mode == "explicit":
-                if not self.r_max or not self.s_max:
+                if min(self.r_max or 0, self.s_max or 0) < 1:
                     raise ValueError("explicit bound mode needs r_max and s_max >= 1")
             elif self.d_ratio is None or self.d_ratio <= 0:
                 raise ValueError(f"{self.bound_mode} bound mode needs a positive d_ratio")
@@ -123,12 +121,8 @@ def _wiener_pass(pub: PublicKey, cf: contfrac.ContFrac, stats: Stats):
 
 def wiener_classic(pub: PublicKey) -> AttackResult:
     """Try every convergent denominator of e/n as the secret exponent."""
-    stats = Stats()
-    t0 = time.perf_counter()
-    cf = contfrac.expand(Fraction(pub.e, pub.n))
-    result = _wiener_pass(pub, cf, stats) or AttackResult("exhausted", stats=stats)
-    stats.wall_time = time.perf_counter() - t0
-    return result
+    # The anchor search with no anchors is the Wiener pass alone.
+    return _anchor_search(pub, AttackConfig(variant="wiener", m_candidates=()), None)
 
 
 def _m_candidates(cf, target, bound, cfg):
@@ -168,9 +162,12 @@ def _gcd_break(g, n, stats):
     return AttackResult("gcd-break", p=p, q=q, stats=stats)
 
 
-def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
-    """Exhaustive search over coprime (r, s) pairs, one factor-recovery
-    attempt per pair. Quadratic in the bounds; serves as the oracle."""
+def _anchor_search(pub, cfg, window):
+    """The loop every engine shares: the Wiener pass over the target's
+    convergents, then per anchor index m the two boundary candidates and
+    window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats), which searches
+    the (r, s) window around convergents m and m + 1 and returns an
+    AttackResult or None."""
     cfg.validate()
     stats = Stats()
     t0 = time.perf_counter()
@@ -178,29 +175,107 @@ def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
         target, bound = approximation_target(pub, cfg.approx)
         cf = contfrac.expand(target)
         result = _wiener_pass(pub, cf, stats)
-        if result is None:
-            for m in _m_candidates(cf, target, bound, cfg):
-                stats.m_tried += 1
-                p0, q0 = cf.convergent(m)
-                p1, q1 = cf.convergent(m + 1)
-                r_max, s_max = _bounds_for(cfg, cf, m)
-                result = _boundary_candidates(pub, cf, m, stats)
-                if result is not None:
-                    break
-                hit, trials = vvt_scan(
-                    pub.n, pub.e, p0, q0, p1, q1, r_max, s_max,
-                    cfg.probe_minus_form,
-                )
-                stats.method1_trials += trials
-                if hit is not None:
-                    d, k, p, q = hit[0], hit[1], hit[2], hit[3]
-                    result = AttackResult("recovered", d, k, p, q, stats)
-                    break
-        if result is None:
-            result = AttackResult("exhausted", stats=stats)
+        if result is not None:
+            return result
+        for m in _m_candidates(cf, target, bound, cfg):
+            stats.m_tried += 1
+            p0, q0 = cf.convergent(m)
+            p1, q1 = cf.convergent(m + 1)
+            r_max, s_max = _bounds_for(cfg, cf, m)
+            result = _boundary_candidates(pub, cf, m, stats) or window(
+                pub, cfg, p0, q0, p1, q1, r_max, s_max, stats)
+            if result is not None:
+                return result
+        return AttackResult("exhausted", stats=stats)
     finally:
         stats.wall_time = time.perf_counter() - t0
-    return result
+
+
+def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
+    """Exhaustive scan of d = r*q1 +/- s*q0 over [1,r_max] x [1,s_max].
+
+    Only coprime (r, s) pairs are tested. Returns (hit, trials) where hit
+    is (d, k, p, q, r, s, sign) or None and trials counts factor-recovery
+    attempts.
+    """
+    trials = 0
+    for s in range(1, s_max + 1):
+        sq0 = s * q0
+        sp0 = s * p0
+        d = sq0
+        k = sp0
+        two_sq0 = 2 * sq0
+        two_sp0 = 2 * sp0
+        for r in range(1, r_max + 1):
+            d += q1
+            k += p1
+            if gcd(r, s) != 1:
+                continue
+            if k >= 1:
+                trials += 1
+                got = method1_try(n, e, d, k)
+                if got[2] is None:
+                    return (d, k, got[0], got[1], r, s, "+"), trials
+            if minus_form:
+                dm = d - two_sq0
+                km = k - two_sp0
+                if dm > 0 and km >= 1:
+                    trials += 1
+                    got = method1_try(n, e, dm, km)
+                    if got[2] is None:
+                        return (dm, km, got[0], got[1], r, s, "-"), trials
+    return None, trials
+
+
+def _scan_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
+    hit, trials = vvt_scan(
+        pub.n, pub.e, p0, q0, p1, q1, r_max, s_max, cfg.probe_minus_form)
+    stats.method1_trials += trials
+    if hit is None:
+        return None
+    d, k, p, q = hit[:4]
+    return AttackResult("recovered", d, k, p, q, stats)
+
+
+def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
+    """Exhaustive search over coprime (r, s) pairs, one factor-recovery
+    attempt per pair. Quadratic in the bounds; serves as the oracle."""
+    return _anchor_search(pub, cfg, _scan_window)
+
+
+def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
+    n, e = pub.n, pub.e
+    a = mod_pow(2, e * q1, n)
+    bq = mod_pow(2, e * q0, n)
+    try:
+        b = mod_inv(bq, n) if bq != 1 else 1
+        w = fingerprint_width(r_max, s_max)
+        table = FingerprintTable.build(a, n, r_max, w)
+    except NotInvertibleError as exc:
+        return _gcd_break(exc.gcd, n, stats)
+    stats.modmuls += table.modmuls
+    stats.table_bytes = max(stats.table_bytes, table.nominal_bytes)
+    mask = (1 << w) - 1
+    # Probe streams: plus form a^r == 2*b^s, minus form a^r == 2*bq^s.
+    chains = [("+", power_chain_fps(2 * b % n, b, n, s_max, mask))]
+    stats.modmuls += s_max  # chain muls plus the initial 2*b mod n
+    if cfg.probe_minus_form:
+        chains.append(("-", power_chain_fps(2 * bq % n, bq, n, s_max, mask)))
+        stats.modmuls += s_max
+    for s in range(1, s_max + 1):
+        for sign, (fps, _) in chains:
+            for r in table.probe_fp(fps[s - 1], s, cfg.gcd_rows):
+                if sign == "+":
+                    d, k = r * q1 + s * q0, r * p1 + s * p0
+                else:
+                    d, k = r * q1 - s * q0, r * p1 - s * p0
+                res = _try_candidate(pub, d, k, stats)
+                if res is not None:
+                    _drain_counters(table, stats)
+                    return AttackResult("recovered", d, k, res.p, res.q, stats)
+                stats.collisions += 1
+    _drain_counters(table, stats)
+    return None
 
 
 def mitm_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
@@ -209,62 +284,7 @@ def mitm_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
     Per index m this costs O(r_max + s_max) modular multiplications instead
     of the exhaustive engine's r_max * s_max factor-recovery attempts.
     """
-    cfg.validate()
-    stats = Stats()
-    t0 = time.perf_counter()
-    try:
-        result = _mitm_search(pub, cfg, stats)
-    finally:
-        stats.wall_time = time.perf_counter() - t0
-    return result
-
-
-def _mitm_search(pub, cfg, stats):
-    n, e = pub.n, pub.e
-    target, bound = approximation_target(pub, cfg.approx)
-    cf = contfrac.expand(target)
-    result = _wiener_pass(pub, cf, stats)
-    if result is not None:
-        return result
-    for m in _m_candidates(cf, target, bound, cfg):
-        stats.m_tried += 1
-        p0, q0 = cf.convergent(m)
-        p1, q1 = cf.convergent(m + 1)
-        r_max, s_max = _bounds_for(cfg, cf, m)
-        result = _boundary_candidates(pub, cf, m, stats)
-        if result is not None:
-            return result
-        a = mod_pow(2, e * q1, n)
-        bq = mod_pow(2, e * q0, n)
-        try:
-            b = mod_inv(bq, n) if bq != 1 else 1
-            w = fingerprint_width(r_max, s_max)
-            table = FingerprintTable.build(a, n, r_max, cfg.primes, w)
-        except NotInvertibleError as exc:
-            return _gcd_break(exc.gcd, n, stats)
-        stats.modmuls += table.modmuls
-        stats.table_bytes = max(stats.table_bytes, table.nominal_bytes)
-        mask = (1 << w) - 1
-        # Probe streams: plus form a^r == 2*b^s, minus form a^r == 2*bq^s.
-        chains = [("+", power_chain_fps(2 * b % n, b, n, s_max, mask))]
-        stats.modmuls += s_max  # chain muls plus the initial 2*b mod n
-        if cfg.probe_minus_form:
-            chains.append(("-", power_chain_fps(2 * bq % n, bq, n, s_max, mask)))
-            stats.modmuls += s_max
-        for s in range(1, s_max + 1):
-            for sign, (fps, _) in chains:
-                for r in table.probe_fp(fps[s - 1], s, cfg.gcd_rows):
-                    if sign == "+":
-                        d, k = r * q1 + s * q0, r * p1 + s * p0
-                    else:
-                        d, k = r * q1 - s * q0, r * p1 - s * p0
-                    res = _try_candidate(pub, d, k, stats)
-                    if res is not None:
-                        _drain_counters(table, stats)
-                        return AttackResult("recovered", d, k, res.p, res.q, stats)
-                    stats.collisions += 1
-        _drain_counters(table, stats)
-    return AttackResult("exhausted", stats=stats)
+    return _anchor_search(pub, cfg, _mitm_window)
 
 
 def _drain_counters(table, stats):

@@ -12,7 +12,6 @@ import sys
 from fractions import Fraction
 
 from . import bench, contfrac
-from ._kernel import BACKEND
 from .attack import AttackConfig, run_attack
 from .rsa import KeyFormatError, keygen_weak, read_key, write_key
 
@@ -33,10 +32,7 @@ def _build_parser():
         prog="rsacf",
         description="Continued-fraction attacks on RSA keys with small secret exponent",
     )
-    parser.add_argument(
-        "--version", action="version",
-        version=f"rsacf {__version__} (kernel backend: {BACKEND})",
-    )
+    parser.add_argument("--version", action="version", version=f"rsacf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     kg = sub.add_parser("keygen", help="generate a deliberately weak key")
@@ -64,8 +60,6 @@ def _build_parser():
     at.add_argument("--gcd-rows", action="store_true")
     at.add_argument("--minus-form", action="store_true")
     at.add_argument("--stats", action="store_true")
-    at.add_argument("--threads", type=int, default=1,
-                    help="worker hint; affects wall time only, never output")
 
     be = sub.add_parser("bench", help="reproduce the two reference tables")
     be_sub = be.add_subparsers(dest="bench_command", required=True)
@@ -75,7 +69,6 @@ def _build_parser():
     bs.add_argument("--trials", type=int, required=True)
     bs.add_argument("--seed", type=int, default=DEFAULT_SEED)
     bs.add_argument("--improved-approx", action="store_true")
-    bs.add_argument("--threads", type=int, default=1)
     bs.add_argument("--json", action="store_true")
     bb = be_sub.add_parser("bounds", help="bound-comparison table")
     bb.add_argument("--rows", default=",".join(map(str, bench.DEFAULT_BOUND_TABLE_ROWS)),

@@ -11,7 +11,6 @@ from bisect import bisect_left
 from math import gcd
 
 from .numeric import NotInvertibleError
-from ._kernel import power_chain_fps
 
 DEFAULT_ROW_PRIMES = (2, 3, 5)
 MIN_WIDTH = 16
@@ -32,13 +31,28 @@ def fingerprint_width(r_max: int, s_max: int = 0) -> int:
     return min(max(w, MIN_WIDTH), MAX_WIDTH)
 
 
+def power_chain_fps(start, mult, n, count, mask):
+    """Fingerprints of start, start*mult, ... (count values, mod n).
+
+    Returns (fps, modmuls); one modular multiplication per step after the
+    first value.
+    """
+    fps = []
+    append = fps.append
+    cur = start
+    for i in range(count):
+        append(cur & mask)
+        if i + 1 < count:
+            cur = cur * mult % n
+    return fps, max(count - 1, 0)
+
+
 class FingerprintTable:
     """Immutable after build; probes are read-only apart from counters."""
 
-    def __init__(self, R, w, primes, rows, modmuls):
+    def __init__(self, R, w, rows, modmuls):
         self.R = R
         self.w = w
-        self.primes = primes
         self._rows = rows  # residue tuple -> (sorted fp array, r array)
         self.modmuls = modmuls
         self.probes = 0
@@ -46,7 +60,7 @@ class FingerprintTable:
         self.rows_skipped = 0
 
     @classmethod
-    def build(cls, a, n, R, primes=DEFAULT_ROW_PRIMES, w=None):
+    def build(cls, a, n, R, w=None):
         """Insert fingerprint(a^r mod n) for r in [1, R], one modmul per step."""
         if R < 1:
             raise ValueError("R must be >= 1")
@@ -62,7 +76,7 @@ class FingerprintTable:
         fps, modmuls = power_chain_fps(a, a, n, R, mask)
         buckets = {}
         for r, fp in enumerate(fps, 1):
-            key = tuple(r % p for p in primes)
+            key = tuple(r % p for p in DEFAULT_ROW_PRIMES)
             buckets.setdefault(key, []).append((fp, r))
         rows = {}
         for key, pairs in buckets.items():
@@ -71,7 +85,7 @@ class FingerprintTable:
                 array("Q", (fp for fp, _ in pairs)),
                 array("Q", (r for _, r in pairs)),
             )
-        return cls(R, w, tuple(primes), rows, modmuls)
+        return cls(R, w, rows, modmuls)
 
     @property
     def entries(self) -> int:
@@ -84,7 +98,7 @@ class FingerprintTable:
 
     def row_skipped(self, key, s: int) -> bool:
         """True when no r in this row can have gcd(r, s) = 1."""
-        return any(s % p == 0 and res == 0 for p, res in zip(self.primes, key))
+        return any(s % p == 0 and res == 0 for p, res in zip(DEFAULT_ROW_PRIMES, key))
 
     def probe_fp(self, fp: int, s: int = 0, gcd_filter: bool = False) -> list:
         """All stored r whose fingerprint equals fp, ascending."""

@@ -130,28 +130,43 @@ def keygen_weak(modulus_bits: int, d_ratio, seed: int):
     raise GenerationError("could not generate a key within the retry budget")
 
 
+# Reject outcomes of method1_try, built once: the exhaustive scan rejects
+# almost every pair it tries, so it must not allocate per reject.
+_INEXACT_PHI = (None, None, "inexact-phi")
+_NEGATIVE_SUM = (None, None, "negative-sum")
+_NON_SQUARE = (None, None, "non-square")
+_PRODUCT_MISMATCH = (None, None, "product-mismatch")
+
+
+def method1_try(n: int, e: int, d: int, k: int) -> tuple:
+    """Factor n assuming (d, k) is the true exponent pair, k >= 1.
+
+    Returns (p, q, None) with p * q == n, or (None, None, reject stage).
+    """
+    t = d * e - 1
+    if t % k:
+        return _INEXACT_PHI
+    psum = n + 1 - t // k
+    if psum < 0:
+        return _NEGATIVE_SUM
+    disc = psum * psum - 4 * n
+    if disc < 0:
+        return _NON_SQUARE
+    root = isqrt(disc)
+    if root * root != disc:
+        return _NON_SQUARE
+    p = (psum - root) // 2
+    q = (psum + root) // 2
+    if p <= 1 or p * q != n:
+        return _PRODUCT_MISMATCH
+    return p, q, None
+
+
 def method1_factor(pub: PublicKey, d_cand: int, k_cand: int) -> Method1Result:
     """Try to factor n assuming (d_cand, k_cand) are the true exponent pair."""
     if k_cand < 1:
         raise ValueError("k_cand must be >= 1")
-    num = d_cand * pub.e - 1
-    if num % k_cand != 0:
-        return Method1Result(None, None, "inexact-phi")
-    phi = num // k_cand
-    psum = pub.n + 1 - phi
-    if psum < 0:
-        return Method1Result(None, None, "negative-sum")
-    disc = psum * psum - 4 * pub.n
-    if disc < 0:
-        return Method1Result(None, None, "non-square")
-    root = isqrt(disc)
-    if root * root != disc:
-        return Method1Result(None, None, "non-square")
-    p = (psum - root) // 2
-    q = (psum + root) // 2
-    if p <= 1 or p * q != pub.n:
-        return Method1Result(None, None, "product-mismatch")
-    return Method1Result(p, q, None)
+    return Method1Result(*method1_try(pub.n, pub.e, d_cand, k_cand))
 
 
 def method2_check(pub: PublicKey, d_cand: int) -> bool:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -61,6 +62,7 @@ class TestAttackConfig:
         {"variant": "vvt", "r_max": 4},                     # missing s_max
         {"variant": "mitm", "bound_mode": "fixed-4d"},      # missing d_ratio
         {"variant": "mitm", "bound_mode": "quotient", "d_ratio": 0},
+        {"variant": "vvt", "r_max": -3, "s_max": 4},        # non-positive bound
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -116,6 +118,32 @@ class TestVvtExhaustive:
             res = vvt_exhaustive(pub, cfg)
             hits += res.recovered and res.d == priv.d
         assert hits >= 54  # measured 193/200 at this configuration
+
+    def test_trial_count_is_exact(self):
+        # Exhausted key: every trial is made, so the count is the Wiener
+        # pass, two boundary convergents per anchor and one trial per
+        # coprime (r, s) pair per anchor, all counted here from scratch.
+        pub, _ = keygen_weak(96, 2**16, 3)
+        R = S = 32
+        res = vvt_exhaustive(pub, AttackConfig(variant="vvt", r_max=R, s_max=S))
+        assert res.outcome == "exhausted"
+        assert res.stats.m_tried == 3
+        target, _ = approximation_target(pub)
+        num, den = target.numerator, target.denominator
+        convergents = [(1, 0)]  # (k, d) at index -1
+        h0, h1, k0, k1 = 0, 1, 1, 0
+        while den:
+            a, num, den = num // den, den, num % den
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            convergents.append((h1, k1))
+        wiener = sum(1 for k, d in convergents[1:] if k >= 1 and d >= 1)
+        m_prime = anchor_index(pub)
+        boundary = sum(1 for m in range(m_prime, m_prime + 3)
+                       for k, d in (convergents[m + 2], convergents[m + 1])
+                       if k >= 1 and d >= 1)
+        coprime = sum(1 for r in range(1, R + 1) for s in range(1, S + 1)
+                      if gcd(r, s) == 1)
+        assert res.stats.method1_trials == wiener + boundary + 3 * coprime
 
     def test_bound_modes(self):
         pub, priv = keygen_weak(96, 4, 5)

@@ -93,12 +93,16 @@ class TestKeygenAttack:
         assert stats_out == plain_out
         assert "modmuls=" in stats_err
 
-    def test_threads_flag_does_not_change_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("variant", ["vvt", "mitm"])
+    def test_nonpositive_bounds_exit_2(self, tmp_path, capsys, variant):
         key = tmp_path / "k.txt"
         run(capsys, "keygen", "--bits", "96", "--d-ratio", "4",
             "--seed", "5", "-o", str(key))
-        args = ("attack", "--key", str(key), "--rmax", "16", "--smax", "16")
-        assert run(capsys, *args)[1] == run(capsys, *args, "--threads", "4")[1]
+        code, out, err = run(capsys, "attack", "--key", str(key), "--variant",
+                             variant, "--rmax", "-3", "--smax", "4")
+        assert code == 2
+        assert out == ""
+        assert "exhausted" not in err
 
 
 class TestBench:
@@ -134,9 +138,8 @@ class TestParser:
             main(["cf", "--num", "1", "--den", "3", "--frob"])
         assert exc_info.value.code == 2
 
-    def test_version_names_backend(self, capsys):
-        from rsacf import KERNEL_BACKEND
+    def test_version_names_program(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])
         assert exc_info.value.code == 0
-        assert KERNEL_BACKEND in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("rsacf ")

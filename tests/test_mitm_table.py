@@ -11,6 +11,7 @@ from rsacf import (
     fingerprint,
     fingerprint_width,
 )
+from rsacf.mitm_table import power_chain_fps
 
 N = 104729 * 104723  # product of two primes, coprime to small bases
 
@@ -55,6 +56,12 @@ class TestBuild:
         table = FingerprintTable.build(3, N, 100)
         assert table.modmuls == 99
         assert table.entries == 100
+
+    def test_chain_values_are_powers(self):
+        fps, modmuls = power_chain_fps(3, 3, N, 20, (1 << 40) - 1)
+        assert modmuls == 19
+        for r, fp in enumerate(fps, 1):
+            assert fp == pow(3, r, N) & ((1 << 40) - 1)
 
     def test_nominal_bytes(self):
         table = FingerprintTable.build(3, N, 128, w=24)
