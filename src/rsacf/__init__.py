@@ -1,5 +1,7 @@
 """Continued-fraction attacks on RSA keys with small secret exponent."""
 
+__version__ = "0.1.0"
+
 from .attack import (
     AttackConfig,
     AttackResult,

@@ -8,7 +8,7 @@ the meet-in-the-middle one.
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, isfinite
 
 from . import contfrac
 from .mitm_table import FingerprintTable, fingerprint_width, power_chain_fps
@@ -43,8 +43,9 @@ class AttackConfig:
             if self.bound_mode == "explicit":
                 if min(self.r_max or 0, self.s_max or 0) < 1:
                     raise ValueError("explicit bound mode needs r_max and s_max >= 1")
-            elif self.d_ratio is None or self.d_ratio <= 0:
-                raise ValueError(f"{self.bound_mode} bound mode needs a positive d_ratio")
+            elif self.d_ratio is None or not (isfinite(self.d_ratio) and self.d_ratio > 0):
+                raise ValueError(
+                    f"{self.bound_mode} bound mode needs a finite positive d_ratio")
 
 
 @dataclass
@@ -257,23 +258,31 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
     stats.table_bytes = max(stats.table_bytes, table.nominal_bytes)
     mask = (1 << w) - 1
     # Probe streams: plus form a^r == 2*b^s, minus form a^r == 2*bq^s.
-    chains = [("+", power_chain_fps(2 * b % n, b, n, s_max, mask))]
-    stats.modmuls += s_max  # chain muls plus the initial 2*b mod n
-    if cfg.probe_minus_form:
-        chains.append(("-", power_chain_fps(2 * bq % n, bq, n, s_max, mask)))
-        stats.modmuls += s_max
-    for s in range(1, s_max + 1):
-        for sign, (fps, _) in chains:
-            for r in table.probe_fp(fps[s - 1], s, cfg.gcd_rows):
-                if sign == "+":
-                    d, k = r * q1 + s * q0, r * p1 + s * p0
-                else:
-                    d, k = r * q1 - s * q0, r * p1 - s * p0
-                res = _try_candidate(pub, d, k, stats)
-                if res is not None:
-                    _drain_counters(table, stats)
-                    return AttackResult("recovered", d, k, res.p, res.q, stats)
-                stats.collisions += 1
+    # Hits are tried in (s, sign, r) order, sign 0 ("+") before 1 ("-"),
+    # as a per-s loop probing the plus stream first would try them.
+    bases = (b, bq) if cfg.probe_minus_form else (b,)
+    hits = []
+    for sign, base in enumerate(bases):
+        fps = power_chain_fps(2 * base % n, base, n, s_max, mask)[0]
+        hits += [(s, sign, r) for s, r in table.probe_fp(fps, cfg.gcd_rows)]
+        stats.modmuls += s_max  # chain muls plus the initial 2*base mod n
+    hits.sort()
+    for s, sign, r in hits:
+        if sign:
+            d, k = r * q1 - s * q0, r * p1 - s * p0
+        else:
+            d, k = r * q1 + s * q0, r * p1 + s * p0
+        res = _try_candidate(pub, d, k, stats)
+        if res is not None:
+            # Probes up to and including this one: a stream after this
+            # hit's has not reached s yet.
+            for later in range(len(bases)):
+                table.count_probes(s - (later > sign), cfg.gcd_rows)
+            _drain_counters(table, stats)
+            return AttackResult("recovered", d, k, res.p, res.q, stats)
+        stats.collisions += 1
+    for _ in bases:
+        table.count_probes(s_max, cfg.gcd_rows)
     _drain_counters(table, stats)
     return None
 

@@ -11,18 +11,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import bench, contfrac
+from . import __version__, bench, contfrac
 from .attack import AttackConfig, run_attack
 from .rsa import KeyFormatError, keygen_weak, read_key, write_key
 
 DEFAULT_SEED = 0xC0FFEE
-
-try:
-    from importlib.metadata import version as _version
-
-    __version__ = _version("rsacf")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    __version__ = "unknown"
 
 _BOUND_MODE_MAP = {"fixed4d": "fixed-4d", "quotient": "quotient", "explicit": "explicit"}
 

@@ -1,18 +1,24 @@
 """Meet-in-the-middle fingerprint table over the powers a^r mod n.
 
 Entries store only a truncated fingerprint (the low w bits of a^r mod n)
-plus the exponent r, partitioned into rows by the residues of r modulo a
-small prime set so probes with known s can skip rows that cannot satisfy
-gcd(r, s) = 1.
+plus the exponent r, in one hash index from fingerprint to r. A probe
+stream 2*b^s is looked up in bulk, one call per stream.
+
+With the gcd filter a hit (s, r) is kept only when gcd(r, s, 30) = 1: no
+prime of DEFAULT_ROW_PRIMES divides both, so no coprime pair is lost. The
+filter costs nothing per probe since it runs on hits only. Its counters
+still report rows, the classes of r modulo 30 that a probe at s admits or
+skips, as a table partitioned by those classes would visit them.
 """
 
-from array import array
-from bisect import bisect_left
-from math import gcd
+from functools import lru_cache
+from itertools import compress, count as _count
+from math import gcd, prod
 
 from .numeric import NotInvertibleError
 
 DEFAULT_ROW_PRIMES = (2, 3, 5)
+ROW_MODULUS = prod(DEFAULT_ROW_PRIMES)
 MIN_WIDTH = 16
 MAX_WIDTH = 64
 
@@ -47,13 +53,22 @@ def power_chain_fps(start, mult, n, count, mask):
     return fps, max(count - 1, 0)
 
 
+@lru_cache(maxsize=None)
+def _admitted_rows(n_rows):
+    """Per s mod 30, how many of the row classes r = 1..n_rows have
+    gcd(r, s, 30) = 1. Eight distinct patterns: which of 2, 3, 5 divide s."""
+    return tuple(sum(gcd(r, s, ROW_MODULUS) == 1 for r in range(1, n_rows + 1))
+                 for s in range(ROW_MODULUS))
+
+
 class FingerprintTable:
     """Immutable after build; probes are read-only apart from counters."""
 
-    def __init__(self, R, w, rows, modmuls):
+    def __init__(self, R, w, index, modmuls):
         self.R = R
         self.w = w
-        self._rows = rows  # residue tuple -> (sorted fp array, r array)
+        self._index = index  # fp -> r, or an ascending tuple of r
+        self._n_rows = min(R, ROW_MODULUS)  # non-empty classes of r mod 30
         self.modmuls = modmuls
         self.probes = 0
         self.rows_examined = 0
@@ -72,20 +87,13 @@ class FingerprintTable:
             raise NotInvertibleError(a, n, g)
         if w is None:
             w = fingerprint_width(R)
-        mask = (1 << w) - 1
-        fps, modmuls = power_chain_fps(a, a, n, R, mask)
-        buckets = {}
+        fps, modmuls = power_chain_fps(a, a, n, R, (1 << w) - 1)
+        index = {}
         for r, fp in enumerate(fps, 1):
-            key = tuple(r % p for p in DEFAULT_ROW_PRIMES)
-            buckets.setdefault(key, []).append((fp, r))
-        rows = {}
-        for key, pairs in buckets.items():
-            pairs.sort()
-            rows[key] = (
-                array("Q", (fp for fp, _ in pairs)),
-                array("Q", (r for _, r in pairs)),
-            )
-        return cls(R, w, rows, modmuls)
+            prev = index.setdefault(fp, r)
+            if prev != r:
+                index[fp] = (prev if type(prev) is tuple else (prev,)) + (r,)
+        return cls(R, w, index, modmuls)
 
     @property
     def entries(self) -> int:
@@ -100,21 +108,41 @@ class FingerprintTable:
         """True when no r in this row can have gcd(r, s) = 1."""
         return any(s % p == 0 and res == 0 for p, res in zip(DEFAULT_ROW_PRIMES, key))
 
-    def probe_fp(self, fp: int, s: int = 0, gcd_filter: bool = False) -> list:
-        """All stored r whose fingerprint equals fp, ascending."""
+    def _rs(self, fp, s, gcd_filter):
+        rs = self._index.get(fp, ())
+        if type(rs) is int:
+            rs = (rs,)
+        if gcd_filter:
+            return [r for r in rs if gcd(r, s, ROW_MODULUS) == 1]
+        return list(rs)
+
+    def probe_fp(self, fps, gcd_filter: bool = False) -> list:
+        """(s, r) for every stored r whose fingerprint equals fps[s - 1],
+        in (s, r) order. Counters are left to count_probes."""
         hits = []
-        for key, (fps, rs) in self._rows.items():
-            if gcd_filter and self.row_skipped(key, s):
-                self.rows_skipped += 1
-                continue
-            self.rows_examined += 1
-            i = bisect_left(fps, fp)
-            while i < len(fps) and fps[i] == fp:
-                hits.append(rs[i])
-                i += 1
-        self.probes += 1
-        hits.sort()
+        for s in compress(_count(1), map(self._index.__contains__, fps)):
+            hits.extend((s, r) for r in self._rs(fps[s - 1], s, gcd_filter))
         return hits
 
+    def count_probes(self, s_last: int, gcd_filter: bool = False):
+        """Count the probes of one stream at s = 1..s_last and their rows."""
+        visits = s_last * self._n_rows
+        examined = visits
+        if gcd_filter:
+            admitted = _admitted_rows(self._n_rows)
+            periods, part = divmod(s_last, ROW_MODULUS)
+            examined = periods * sum(admitted) + sum(admitted[1:part + 1])
+        self.probes += s_last
+        self.rows_examined += examined
+        self.rows_skipped += visits - examined
+
     def probe(self, target: int, s: int = 0, gcd_filter: bool = False) -> list:
-        return self.probe_fp(fingerprint(target, self.w), s, gcd_filter)
+        """All stored r whose fingerprint equals that of target, ascending;
+        counts one probe at s."""
+        examined = self._n_rows
+        if gcd_filter:
+            examined = _admitted_rows(self._n_rows)[s % ROW_MODULUS]
+        self.probes += 1
+        self.rows_examined += examined
+        self.rows_skipped += self._n_rows - examined
+        return self._rs(fingerprint(target, self.w), s, gcd_filter)

@@ -201,6 +201,10 @@ def read_key(path):
     for required in ("n", "e"):
         if required not in fields:
             raise KeyFormatError(f"missing mandatory field {required!r}", 0)
+    if fields["n"] < 6:
+        raise KeyFormatError("n must be >= 6, the smallest product of two distinct primes", 0)
+    if fields["e"] < 1:
+        raise KeyFormatError("e must be >= 1", 0)
     pub = PublicKey(fields["n"], fields["e"])
     private_fields = [name for name in ("p", "q", "d") if name in fields]
     if not private_fields:

@@ -63,6 +63,8 @@ class TestAttackConfig:
         {"variant": "mitm", "bound_mode": "fixed-4d"},      # missing d_ratio
         {"variant": "mitm", "bound_mode": "quotient", "d_ratio": 0},
         {"variant": "vvt", "r_max": -3, "s_max": 4},        # non-positive bound
+        {"variant": "mitm", "bound_mode": "quotient", "d_ratio": float("inf")},
+        {"variant": "vvt", "bound_mode": "fixed-4d", "d_ratio": float("nan")},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -166,15 +168,37 @@ class TestMitmAttack:
         assert res.stats.modmuls <= 4 * (64 + 64) * max(res.stats.m_tried, 1)
 
     def test_agrees_with_exhaustive_oracle(self):
+        # The plain plus form, then the minus form with the improved
+        # approximation, with gcd rows off and on.
+        minus = {"probe_minus_form": True, "approx": "improved"}
         rng = random.Random(8)
         for _ in range(25):
             pub, priv = keygen_weak(96, 4, rng.randrange(1 << 63))
-            cfg_v = AttackConfig(variant="vvt", r_max=16, s_max=16)
-            cfg_m = AttackConfig(variant="mitm", r_max=16, s_max=16)
-            rv, rm = vvt_exhaustive(pub, cfg_v), mitm_attack(pub, cfg_m)
-            assert rv.outcome == rm.outcome
-            if rv.recovered:
-                assert (rv.d, rv.k) == (rm.d, rm.k)
+            for extra, gcd_rows in (({}, False), (minus, False), (minus, True)):
+                cfg_v = AttackConfig(variant="vvt", r_max=16, s_max=16, **extra)
+                cfg_m = AttackConfig(variant="mitm", r_max=16, s_max=16,
+                                     gcd_rows=gcd_rows, **extra)
+                rv, rm = vvt_exhaustive(pub, cfg_v), mitm_attack(pub, cfg_m)
+                assert rv.outcome == rm.outcome
+                if rv.recovered:
+                    assert (rv.d, rv.k) == (rm.d, rm.k)
+
+    def test_probe_counters_on_exhaustion(self):
+        # Every s of both streams is probed at every anchor; a probe at s
+        # visits the 30 classes of r mod 30 and the filter skips a class c
+        # when gcd(c, s, 30) > 1.
+        pub, _ = keygen_weak(96, 2**20, 123)
+        R = S = 64
+        res = mitm_attack(pub, AttackConfig(
+            variant="mitm", r_max=R, s_max=S, gcd_rows=True,
+            probe_minus_form=True))
+        assert res.outcome == "exhausted"
+        streams = 2 * res.stats.m_tried
+        examined = sum(1 for s in range(1, S + 1) for c in range(30)
+                       if gcd(c, s, 30) == 1)
+        assert res.stats.probes == streams * S
+        assert res.stats.rows_examined == streams * examined
+        assert res.stats.rows_skipped == streams * (30 * S - examined)
 
     def test_minus_form_matches_oracle(self):
         for seed in MINUS_ONLY_SEEDS:

@@ -104,6 +104,28 @@ class TestKeygenAttack:
         assert out == ""
         assert "exhausted" not in err
 
+    @pytest.mark.parametrize("ratio", ["inf", "nan"])
+    def test_nonfinite_d_ratio_exit_2(self, tmp_path, capsys, ratio):
+        key = tmp_path / "k.txt"
+        run(capsys, "keygen", "--bits", "96", "--d-ratio", "4",
+            "--seed", "5", "-o", str(key))
+        code, out, err = run(capsys, "attack", "--key", str(key), "--variant",
+                             "mitm", "--bound-mode", "quotient", "--d-ratio", ratio)
+        assert code == 2
+        assert out == ""
+        assert "finite positive d_ratio" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["n = 1\ne = 3\n", "n = 161d5\ne = 0\n"])
+    def test_degenerate_key_exit_2(self, tmp_path, capsys, text):
+        key = tmp_path / "k.txt"
+        key.write_text(text)
+        code, out, err = run(capsys, "attack", "--key", str(key), "--variant", "vvt",
+                             "--rmax", "4", "--smax", "4", "--improved-approx")
+        assert code == 2
+        assert out == ""
+        assert "exhausted" not in err
+
 
 class TestBench:
     def test_bounds_json(self, capsys):
@@ -142,4 +164,4 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])
         assert exc_info.value.code == 0
-        assert capsys.readouterr().out.startswith("rsacf ")
+        assert capsys.readouterr().out == "rsacf 0.1.0\n"

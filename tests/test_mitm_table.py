@@ -86,6 +86,32 @@ class TestProbe:
         # Full-width fingerprints make collisions impossible here.
         assert table.probe(pow(3, 65, N)) == []
 
+    def test_duplicate_fingerprints(self):
+        # 2^12 entries in 16-bit fingerprints: many fingerprints repeat.
+        R, w = 1 << 12, 16
+        table = FingerprintTable.build(3, N, R, w=w)
+        low = [pow(3, r, N) & 0xFFFF for r in range(R + 1)]
+        shared = {}
+        for r in range(1, R + 1):
+            shared.setdefault(low[r], []).append(r)
+        assert len(shared) < R
+        for r in range(1, R + 1):
+            assert table.probe(pow(3, r, N)) == shared[low[r]]
+
+    @pytest.mark.parametrize("gcd_filter", [False, True])
+    def test_bulk_probe_matches_single_probes(self, gcd_filter):
+        R, w = 1 << 10, 16
+        table = FingerprintTable.build(3, N, R, w=w)
+        rng = random.Random(3)
+        # Half the stream is stored powers, half random residues.
+        targets = [pow(3, rng.randrange(1, R + 1), N) if i % 2 else
+                   rng.randrange(2, N) for i in range(600)]
+        expected = [(s, r) for s, x in enumerate(targets, 1)
+                    for r in table.probe(x, s, gcd_filter)]
+        fps = [fingerprint(x, w) for x in targets]
+        assert table.probe_fp(fps, gcd_filter) == expected
+        assert len(expected) > 100
+
     def test_counters(self):
         table = FingerprintTable.build(3, N, 64)
         table.probe(pow(3, 5, N))

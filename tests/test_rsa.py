@@ -142,6 +142,8 @@ class TestKeyFile:
         ("e = 3\n", 0),                         # missing n
         ("n = 15\ne = 3\np = 3\n", 0),          # partial private half
         ("n = 15\ne = 3\np = 3\nq = 5\nd = 3\n", 0),  # p*q != n
+        ("n = 1\ne = 3\n", 0),                  # n below 2 * 3
+        ("n = 15\ne = 0\n", 0),                 # e below 1
     ])
     def test_format_errors(self, tmp_path, text, line):
         path = tmp_path / "bad.txt"
