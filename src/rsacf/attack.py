@@ -100,22 +100,16 @@ def anchor_index(pub: PublicKey, approx: str = "plain"):
     return contfrac.locate_m_prime(target, bound, contfrac.expand(target))
 
 
-def _try_candidate(pub, d, k, stats):
-    if d < 1 or k < 1:
-        return None
-    stats.method1_trials += 1
-    res = method1_factor(pub, d, k)
-    if res.ok:
-        return res
-    return None
-
-
-def _wiener_pass(pub: PublicKey, cf: contfrac.ContFrac, stats: Stats):
-    for k, d in cf.convergents:
-        if k < 1:
+def _first_recovered(pub, pairs, stats):
+    """Try the (k, d) pairs in order, skipping any with k < 1 or d < 1, and
+    return the first recovery as an AttackResult, or None. Counts one
+    method1 trial per pair tried."""
+    for k, d in pairs:
+        if k < 1 or d < 1:
             continue
-        res = _try_candidate(pub, d, k, stats)
-        if res is not None:
+        stats.method1_trials += 1
+        res = method1_factor(pub, d, k)
+        if res.ok:
             return AttackResult("recovered", d, k, res.p, res.q, stats)
     return None
 
@@ -139,23 +133,17 @@ def _m_candidates(cf, target, bound, cfg):
 def _bounds_for(cfg, cf, m):
     if cfg.bound_mode == "explicit":
         return cfg.r_max, cfg.s_max
-    if cfg.bound_mode == "fixed-4d":
-        r = contfrac.rs_bounds(0, 0, 0, cfg.d_ratio, simple=True)[0]
-        b = max(1, ceil(r))
-        return b, b
-    r, s = contfrac.rs_bounds(
-        cf.quotient(m + 1), cf.quotient(m + 2), cf.quotient(m + 3), cfg.d_ratio
-    )
-    return max(1, ceil(r)), max(1, ceil(s))
-
-
-def _boundary_candidates(pub, cf, m, stats):
-    # r = 1, s = 0 and r = 0, s = 1 reproduce the plain convergents.
-    for k, d in (cf.convergent(m + 1), cf.convergent(m)):
-        res = _try_candidate(pub, d, k, stats)
-        if res is not None:
-            return AttackResult("recovered", d, k, res.p, res.q, stats)
-    return None
+    try:
+        if cfg.bound_mode == "fixed-4d":
+            r, s = contfrac.rs_bounds(0, 0, 0, cfg.d_ratio, simple=True)
+        else:
+            r, s = contfrac.rs_bounds(
+                cf.quotient(m + 1), cf.quotient(m + 2), cf.quotient(m + 3), cfg.d_ratio)
+        return max(1, ceil(r)), max(1, ceil(s))
+    except OverflowError:
+        # An infinite bound, or a partial quotient beyond the float range.
+        raise ValueError(f"{cfg.bound_mode} bounds at anchor index {m} are not finite"
+                         f" (d_ratio {cfg.d_ratio!r})") from None
 
 
 def _gcd_break(g, n, stats):
@@ -175,7 +163,7 @@ def _anchor_search(pub, cfg, window):
     try:
         target, bound = approximation_target(pub, cfg.approx)
         cf = contfrac.expand(target)
-        result = _wiener_pass(pub, cf, stats)
+        result = _first_recovered(pub, cf.convergents, stats)
         if result is not None:
             return result
         for m in _m_candidates(cf, target, bound, cfg):
@@ -183,7 +171,8 @@ def _anchor_search(pub, cfg, window):
             p0, q0 = cf.convergent(m)
             p1, q1 = cf.convergent(m + 1)
             r_max, s_max = _bounds_for(cfg, cf, m)
-            result = _boundary_candidates(pub, cf, m, stats) or window(
+            # r = 1, s = 0 and r = 0, s = 1 reproduce the plain convergents.
+            result = _first_recovered(pub, ((p1, q1), (p0, q0)), stats) or window(
                 pub, cfg, p0, q0, p1, q1, r_max, s_max, stats)
             if result is not None:
                 return result
@@ -196,8 +185,7 @@ def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
     """Exhaustive scan of d = r*q1 +/- s*q0 over [1,r_max] x [1,s_max].
 
     Only coprime (r, s) pairs are tested. Returns (hit, trials) where hit
-    is (d, k, p, q, r, s, sign) or None and trials counts factor-recovery
-    attempts.
+    is (d, k, p, q) or None and trials counts factor-recovery attempts.
     """
     trials = 0
     for s in range(1, s_max + 1):
@@ -216,7 +204,7 @@ def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
                 trials += 1
                 got = method1_try(n, e, d, k)
                 if got[2] is None:
-                    return (d, k, got[0], got[1], r, s, "+"), trials
+                    return (d, k, got[0], got[1]), trials
             if minus_form:
                 dm = d - two_sq0
                 km = k - two_sp0
@@ -224,7 +212,7 @@ def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
                     trials += 1
                     got = method1_try(n, e, dm, km)
                     if got[2] is None:
-                        return (dm, km, got[0], got[1], r, s, "-"), trials
+                        return (dm, km, got[0], got[1]), trials
     return None, trials
 
 
@@ -234,8 +222,7 @@ def _scan_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
     stats.method1_trials += trials
     if hit is None:
         return None
-    d, k, p, q = hit[:4]
-    return AttackResult("recovered", d, k, p, q, stats)
+    return AttackResult("recovered", *hit, stats)
 
 
 def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
@@ -249,7 +236,7 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
     a = mod_pow(2, e * q1, n)
     bq = mod_pow(2, e * q0, n)
     try:
-        b = mod_inv(bq, n) if bq != 1 else 1
+        b = mod_inv(bq, n)
         w = fingerprint_width(r_max, s_max)
         table = FingerprintTable.build(a, n, r_max, w)
     except NotInvertibleError as exc:
@@ -258,33 +245,25 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
     stats.table_bytes = max(stats.table_bytes, table.nominal_bytes)
     mask = (1 << w) - 1
     # Probe streams: plus form a^r == 2*b^s, minus form a^r == 2*bq^s.
-    # Hits are tried in (s, sign, r) order, sign 0 ("+") before 1 ("-"),
-    # as a per-s loop probing the plus stream first would try them.
     bases = (b, bq) if cfg.probe_minus_form else (b,)
     hits = []
     for sign, base in enumerate(bases):
         fps = power_chain_fps(2 * base % n, base, n, s_max, mask)[0]
         hits += [(s, sign, r) for s, r in table.probe_fp(fps, cfg.gcd_rows)]
         stats.modmuls += s_max  # chain muls plus the initial 2*base mod n
-    hits.sort()
-    for s, sign, r in hits:
-        if sign:
-            d, k = r * q1 - s * q0, r * p1 - s * p0
-        else:
-            d, k = r * q1 + s * q0, r * p1 + s * p0
-        res = _try_candidate(pub, d, k, stats)
-        if res is not None:
-            # Probes up to and including this one: a stream after this
-            # hit's has not reached s yet.
-            for later in range(len(bases)):
-                table.count_probes(s - (later > sign), cfg.gcd_rows)
-            _drain_counters(table, stats)
-            return AttackResult("recovered", d, k, res.p, res.q, stats)
-        stats.collisions += 1
-    for _ in bases:
-        table.count_probes(s_max, cfg.gcd_rows)
-    _drain_counters(table, stats)
-    return None
+        table.count_probes(s_max, cfg.gcd_rows)  # probe_fp looked up all s_max
+    stats.probes += table.probes
+    stats.rows_examined += table.rows_examined
+    stats.rows_skipped += table.rows_skipped
+    # Hits are tried in (s, sign, r) order, sign 0 (d = r*q1 + s*q0) before
+    # sign 1 (d = r*q1 - s*q0); every hit that does not recover collides.
+    pairs = []
+    for s, sign, r in sorted(hits):
+        t = -s if sign else s
+        pairs.append((r * p1 + t * p0, r * q1 + t * q0))
+    result = _first_recovered(pub, pairs, stats)
+    stats.collisions += len(pairs) if result is None else pairs.index((result.k, result.d))
+    return result
 
 
 def mitm_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
@@ -294,12 +273,6 @@ def mitm_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
     of the exhaustive engine's r_max * s_max factor-recovery attempts.
     """
     return _anchor_search(pub, cfg, _mitm_window)
-
-
-def _drain_counters(table, stats):
-    stats.probes += table.probes
-    stats.rows_examined += table.rows_examined
-    stats.rows_skipped += table.rows_skipped
 
 
 def run_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:

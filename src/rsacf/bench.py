@@ -2,7 +2,7 @@
 
 import random
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 
 from .attack import AttackConfig, anchor_index, run_attack
 from .rsa import keygen_weak
@@ -38,16 +38,18 @@ class SuccessRow:
         return self.successes / self.trials
 
 
-def success_table(bits, d_ratio, trials, seed, *, approx="plain", gcd_rows=True,
-                  minus_form=False):
+def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
     """Success rate of the meet-in-the-middle attack per (r, s) bound row.
 
-    The same seeded keys are reused for every row (paired samples), which
-    keeps the between-row comparisons low-variance at desk-scale trial
-    counts.
+    Each attack runs with the gcd filter on; a miss gets the minus-form
+    rescue. The same seeded keys are reused for every row (paired samples),
+    which keeps the between-row comparisons low-variance at desk-scale
+    trial counts.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (isfinite(d_ratio) and d_ratio > 0):
+        raise ValueError(f"d_ratio must be finite and positive, got {d_ratio!r}")
     rng = random.Random(seed)
     # d_ratio is the cap of the operating range d < d_ratio * n^0.25; each
     # trial key gets a secret exponent drawn uniformly below that cap.
@@ -65,22 +67,21 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain", gcd_rows=True,
             r_max=r_max,
             s_max=s_max,
             approx=approx,
-            gcd_rows=gcd_rows,
-            probe_minus_form=minus_form,
+            gcd_rows=True,
         )
         successes = 0
         for (pub, _), m_prime in zip(keys, anchors):
             if run_attack(pub, cfg).recovered:
                 successes += 1
             elif m_prime is not None and _minus_rescue(
-                pub, m_prime, r_max, s_max, approx, gcd_rows
+                pub, m_prime, r_max, s_max, approx
             ):
                 successes += 1
         rows.append(SuccessRow(r_mult, s_mult, trials, successes))
     return rows
 
 
-def _minus_rescue(pub, m_prime, r_max, s_max, approx, gcd_rows):
+def _minus_rescue(pub, m_prime, r_max, s_max, approx):
     """Minus-form pass at the middle window index with the bounds swapped.
 
     The candidate family behind the reference table pairs the plus form
@@ -94,7 +95,7 @@ def _minus_rescue(pub, m_prime, r_max, s_max, approx, gcd_rows):
         r_max=s_max,
         s_max=r_max,
         approx=approx,
-        gcd_rows=gcd_rows,
+        gcd_rows=True,
         probe_minus_form=True,
         m_candidates=(m_prime + 1,),
     )

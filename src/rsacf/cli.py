@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import __version__, bench, contfrac
 from .attack import AttackConfig, run_attack
-from .rsa import KeyFormatError, keygen_weak, read_key, write_key
+from .rsa import GenerationError, KeyFormatError, keygen_weak, read_key, write_key
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -81,20 +81,18 @@ def _cmd_cf(args):
         print("cf: need num >= 0 and den > 0", file=sys.stderr)
         return 2
     x = Fraction(args.num, args.den)
+    # Enumerated first, so a bad --c fails before anything is printed.
+    candidates = [] if args.c is None else contfrac.worley_enumerate(x, args.c)
     cf = contfrac.expand(x)
     a0, rest = cf.quotients[0], cf.quotients[1:]
     tail = ";" + ",".join(map(str, rest)) if rest else ""
     print(f"[{a0}{tail}]")
     for p, q in cf.convergents:
         print(f"{p}/{q}")
-    if args.c is not None:
-        if args.c <= 0:
-            print("cf: --c must be positive", file=sys.stderr)
-            return 2
-        for cand in contfrac.worley_enumerate(x, args.c):
-            sat = 1 if cand.satisfies else 0
-            print(f"{cand.m} {cand.r} {cand.s} {cand.sign} "
-                  f"{cand.frac.numerator}/{cand.frac.denominator} {sat}")
+    for cand in candidates:
+        sat = 1 if cand.satisfies else 0
+        print(f"{cand.m} {cand.r} {cand.s} {cand.sign} "
+              f"{cand.frac.numerator}/{cand.frac.denominator} {sat}")
     return 0
 
 
@@ -180,7 +178,7 @@ def main(argv=None) -> int:
         if args.command == "attack":
             return _cmd_attack(args)
         return _cmd_bench(args)
-    except (OSError, KeyFormatError, ValueError) as exc:
+    except (OSError, KeyFormatError, GenerationError, ValueError) as exc:
         print(f"rsacf: {exc}", file=sys.stderr)
         return 2
 

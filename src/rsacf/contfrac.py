@@ -81,9 +81,9 @@ def worley_enumerate(x: Fraction, c) -> list:
     after reduction; zero denominators and r = s = 0 encode no fraction and
     are skipped.
     """
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and positive, got {c!r}")
     c = Fraction(c)
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
     cf = expand(x)
     two_c = 2 * c
     pairs = [(1, 0), (0, 1)]

@@ -2,23 +2,25 @@
 
 Entries store only a truncated fingerprint (the low w bits of a^r mod n)
 plus the exponent r, in one hash index from fingerprint to r. A probe
-stream 2*b^s is looked up in bulk, one call per stream.
+stream 2*b^s is looked up in bulk, one call per stream, and every
+fingerprint of the stream is looked up before any hit is verified.
 
 With the gcd filter a hit (s, r) is kept only when gcd(r, s, 30) = 1: no
-prime of DEFAULT_ROW_PRIMES divides both, so no coprime pair is lost. The
-filter costs nothing per probe since it runs on hits only. Its counters
-still report rows, the classes of r modulo 30 that a probe at s admits or
-skips, as a table partitioned by those classes would visit them.
+prime of 2*3*5 divides both, so no coprime pair is lost. The filter costs
+nothing per probe since it runs on hits only. Its counters report, per
+fingerprint looked up at s, the classes of r modulo 30 that the filter
+admits (rows examined) or rules out (rows skipped).
 """
 
 from functools import lru_cache
 from itertools import compress, count as _count
-from math import gcd, prod
+from math import gcd
 
 from .numeric import NotInvertibleError
 
-DEFAULT_ROW_PRIMES = (2, 3, 5)
-ROW_MODULUS = prod(DEFAULT_ROW_PRIMES)
+# 2*3*5: the smallest primes rule out the most (r, s) pairs, about 36% of
+# the classes of r for a random s, and 30 classes stay cheap to count.
+ROW_MODULUS = 30
 MIN_WIDTH = 16
 MAX_WIDTH = 64
 
@@ -96,17 +98,9 @@ class FingerprintTable:
         return cls(R, w, index, modmuls)
 
     @property
-    def entries(self) -> int:
-        return self.R
-
-    @property
     def nominal_bytes(self) -> int:
         # Compact budget: w fingerprint bits plus an 8-byte index per entry.
         return self.R * (self.w // 8 + 8)
-
-    def row_skipped(self, key, s: int) -> bool:
-        """True when no r in this row can have gcd(r, s) = 1."""
-        return any(s % p == 0 and res == 0 for p, res in zip(DEFAULT_ROW_PRIMES, key))
 
     def _rs(self, fp, s, gcd_filter):
         rs = self._index.get(fp, ())

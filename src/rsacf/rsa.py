@@ -4,7 +4,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 from .numeric import isqrt, mod_pow
 
@@ -97,6 +97,8 @@ def keygen_weak(modulus_bits: int, d_ratio, seed: int):
     """
     if modulus_bits < 32:
         raise ValueError("modulus_bits must be >= 32")
+    if not isfinite(d_ratio):
+        raise ValueError(f"d_ratio must be finite, got {d_ratio!r}")
     D = Fraction(d_ratio)
     if D < Fraction(1, 256):
         raise ValueError("d_ratio must be >= 2**-8")

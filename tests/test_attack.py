@@ -183,16 +183,21 @@ class TestMitmAttack:
                 if rv.recovered:
                     assert (rv.d, rv.k) == (rm.d, rm.k)
 
-    def test_probe_counters_on_exhaustion(self):
-        # Every s of both streams is probed at every anchor; a probe at s
-        # visits the 30 classes of r mod 30 and the filter skips a class c
-        # when gcd(c, s, 30) > 1.
-        pub, _ = keygen_weak(96, 2**20, 123)
+    @pytest.mark.parametrize("d_ratio, seed, outcome", [
+        (2**20, 123, "exhausted"),
+        (16, 0, "recovered"),  # beyond Wiener, so recovered inside a window
+    ], ids=["exhausted", "recovered"])
+    def test_probe_counters(self, d_ratio, seed, outcome):
+        # Every s of both streams is looked up at every anchor tried, before
+        # any hit is verified; a lookup at s visits the 30 classes of r mod
+        # 30 and the filter skips a class c when gcd(c, s, 30) > 1.
+        pub, _ = keygen_weak(96, d_ratio, seed)
+        assert wiener_classic(pub).outcome == "exhausted"
         R = S = 64
         res = mitm_attack(pub, AttackConfig(
             variant="mitm", r_max=R, s_max=S, gcd_rows=True,
             probe_minus_form=True))
-        assert res.outcome == "exhausted"
+        assert res.outcome == outcome
         streams = 2 * res.stats.m_tried
         examined = sum(1 for s in range(1, S + 1) for c in range(30)
                        if gcd(c, s, 30) == 1)

@@ -4,8 +4,13 @@ import json
 
 import pytest
 
-from rsacf import keygen_weak, read_key
+from rsacf import keygen_weak, read_key, write_key
 from rsacf.cli import main
+
+# 96-bit key, d about 4 * n^0.25, recoverable only through the minus form
+# within (r, s) bounds (16, 16); the first of tests/test_attack.py's
+# MINUS_ONLY_SEEDS.
+MINUS_ONLY_SEED = 4590906539325665225
 
 
 def run(capsys, *argv):
@@ -125,6 +130,88 @@ class TestKeygenAttack:
         assert code == 2
         assert out == ""
         assert "exhausted" not in err
+
+
+# (bits, d_ratio, seed) of a key whose d is near n^0.4, out of every reach.
+EXHAUSTED_KEY = (64, 776.0, 0)
+
+# (bits, d_ratio, seed) of the key, then the attack flags.
+GOLDEN = [
+    ((96, 0.3, 11), ("--variant", "wiener")),
+    ((96, 4, 5), ("--variant", "vvt", "--rmax", "16", "--smax", "16")),
+    ((96, 16, 0), ("--variant", "mitm", "--rmax", "64", "--smax", "64")),
+    ((96, 4, MINUS_ONLY_SEED), ("--variant", "mitm", "--rmax", "16", "--smax", "16",
+                                "--minus-form")),
+    ((96, 4, MINUS_ONLY_SEED), ("--variant", "vvt", "--rmax", "16", "--smax", "16",
+                                "--minus-form")),
+    ((96, 16, 3), ("--rmax", "16", "--smax", "16", "--improved-approx")),
+    ((96, 8, 2), ("--rmax", "32", "--smax", "32", "--gcd-rows")),
+    ((96, 4, 5), ("--bound-mode", "fixed4d", "--d-ratio", "4")),
+    ((96, 4, 5), ("--bound-mode", "quotient", "--d-ratio", "4")),
+    ((128, 4, 7), ("--bound-mode", "quotient", "--d-ratio", "4", "--improved-approx",
+                   "--gcd-rows", "--minus-form")),
+    (EXHAUSTED_KEY, ("--rmax", "8", "--smax", "8")),
+]
+
+
+@pytest.mark.parametrize("key_args, flags", GOLDEN)
+def test_attack_stdout_golden(tmp_path, capsys, key_args, flags):
+    # The expected text comes from the private key alone; the key file the
+    # attack reads holds only the public half.
+    pub, priv = keygen_weak(*key_args)
+    key = tmp_path / "pub.txt"
+    write_key(key, pub)
+    code, out, _ = run(capsys, "attack", "--key", str(key), *flags)
+    if key_args == EXHAUSTED_KEY:
+        assert (code, out) == (1, "")
+        return
+    k = (pub.e * priv.d - 1) // priv.phi
+    assert code == 0
+    assert out == f"d = {priv.d:x}\nk = {k:x}\np = {priv.p:x}\nq = {priv.q:x}\n"
+
+
+def _assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "exhausted" not in err
+
+
+@pytest.mark.parametrize("key_text, flags", [
+    (None, ("--bound-mode", "quotient", "--d-ratio", "1e308")),
+    (None, ("--bound-mode", "fixed4d", "--d-ratio", "1e308")),
+    # e/n = [0; n]: the partial quotient n ~ 2^1023 makes the bound inf,
+    ("n = %x\ne = 1\n" % (2**1023 + 12345), ("--bound-mode", "quotient", "--d-ratio", "4")),
+    # and one past the float range cannot be converted at all.
+    ("n = %x\ne = 1\n" % (2**1100 + 1), ("--bound-mode", "quotient", "--d-ratio", "4")),
+], ids=["quotient-1e308", "fixed4d-1e308", "quotient-2^1023", "quotient-2^1100"])
+def test_nonfinite_search_bounds_exit_2(tmp_path, capsys, key_text, flags):
+    key = tmp_path / "k.txt"
+    if key_text is None:
+        write_key(key, keygen_weak(96, 4, 5)[0])
+    else:
+        key.write_text(key_text)
+    code, out, err = run(capsys, "attack", "--key", str(key), "--variant", "mitm", *flags)
+    _assert_input_error(code, out, err)
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("keygen", "--bits", "64", "--d-ratio", "inf"),
+    ("keygen", "--bits", "64", "--d-ratio", "1e300"),  # no d window below phi
+    ("bench", "success", "--bits", "64", "--d-ratio", "inf", "--trials", "2"),
+    ("bench", "success", "--bits", "64", "--d-ratio", "0", "--trials", "2"),
+    ("bench", "success", "--bits", "64", "--d-ratio", "-1", "--trials", "2"),
+    ("cf", "--num", "1", "--den", "3", "--c", "inf"),
+    ("cf", "--num", "1", "--den", "3", "--c", "nan"),
+    ("cf", "--num", "1", "--den", "3", "--c", "-1"),
+])
+def test_bad_float_input_exit_2(tmp_path, capsys, argv):
+    out_file = tmp_path / "k.txt"
+    if argv[0] == "keygen":
+        argv += ("-o", str(out_file))
+    _assert_input_error(*run(capsys, *argv))
+    assert not out_file.exists()
 
 
 class TestBench:

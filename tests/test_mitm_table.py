@@ -55,7 +55,7 @@ class TestBuild:
     def test_build_cost_one_modmul_per_entry(self):
         table = FingerprintTable.build(3, N, 100)
         assert table.modmuls == 99
-        assert table.entries == 100
+        assert table.R == 100
 
     def test_chain_values_are_powers(self):
         fps, modmuls = power_chain_fps(3, 3, N, 20, (1 << 40) - 1)
@@ -121,14 +121,6 @@ class TestProbe:
 
 
 class TestGcdRows:
-    def test_row_skipped_semantics(self):
-        table = FingerprintTable.build(3, N, 64)
-        # Row of r values that are 0 mod 2 cannot be coprime to even s.
-        assert table.row_skipped((0, 1, 1), 2)
-        assert not table.row_skipped((1, 0, 0), 2)
-        assert table.row_skipped((1, 0, 2), 15)
-        assert not table.row_skipped((1, 1, 1), 30)
-
     def test_filter_keeps_every_coprime_hit(self):
         R = 256
         table = FingerprintTable.build(3, N, R)
