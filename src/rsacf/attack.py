@@ -135,7 +135,7 @@ def _bounds_for(cfg, cf, m):
         return cfg.r_max, cfg.s_max
     try:
         if cfg.bound_mode == "fixed-4d":
-            r, s = contfrac.rs_bounds(0, 0, 0, cfg.d_ratio, simple=True)
+            r = s = 4 * cfg.d_ratio
         else:
             r, s = contfrac.rs_bounds(
                 cf.quotient(m + 1), cf.quotient(m + 2), cf.quotient(m + 3), cfg.d_ratio)
@@ -153,10 +153,10 @@ def _gcd_break(g, n, stats):
 
 def _anchor_search(pub, cfg, window):
     """The loop every engine shares: the Wiener pass over the target's
-    convergents, then per anchor index m the two boundary candidates and
-    window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats), which searches
-    the (r, s) window around convergents m and m + 1 and returns an
-    AttackResult or None."""
+    convergents, then per anchor index m window(pub, cfg, p0, q0, p1, q1,
+    r_max, s_max, stats), which searches the (r, s) window around
+    convergents m and m + 1, bar the corners r = 1, s = 0 and r = 0, s = 1
+    that the Wiener pass tried, and returns an AttackResult or None."""
     cfg.validate()
     stats = Stats()
     t0 = time.perf_counter()
@@ -171,9 +171,7 @@ def _anchor_search(pub, cfg, window):
             p0, q0 = cf.convergent(m)
             p1, q1 = cf.convergent(m + 1)
             r_max, s_max = _bounds_for(cfg, cf, m)
-            # r = 1, s = 0 and r = 0, s = 1 reproduce the plain convergents.
-            result = _first_recovered(pub, ((p1, q1), (p0, q0)), stats) or window(
-                pub, cfg, p0, q0, p1, q1, r_max, s_max, stats)
+            result = window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats)
             if result is not None:
                 return result
         return AttackResult("exhausted", stats=stats)
@@ -251,7 +249,6 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
         fps = power_chain_fps(2 * base % n, base, n, s_max, mask)[0]
         hits += [(s, sign, r) for s, r in table.probe_fp(fps, cfg.gcd_rows)]
         stats.modmuls += s_max  # chain muls plus the initial 2*base mod n
-        table.count_probes(s_max, cfg.gcd_rows)  # probe_fp looked up all s_max
     stats.probes += table.probes
     stats.rows_examined += table.rows_examined
     stats.rows_skipped += table.rows_skipped
@@ -276,7 +273,6 @@ def mitm_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
 
 
 def run_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
-    cfg.validate()
     if cfg.variant == "wiener":
         return wiener_classic(pub)
     if cfg.variant == "vvt":

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+WORLEY_BUDGET = 1 << 16  # candidate fractions, bounding worley_enumerate's time and memory
+
 
 @dataclass(frozen=True)
 class ContFrac:
@@ -79,13 +81,22 @@ def worley_enumerate(x: Fraction, c) -> list:
     By Worley's theorem this set contains every p/q with |x - p/q| < c/q^2.
     Candidates are emitted in increasing m, then increasing r*s, deduplicated
     after reduction; zero denominators and r = s = 0 encode no fraction and
-    are skipped.
+    are skipped. Raises ValueError, before building any, when there would be
+    more than WORLEY_BUDGET of them.
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"c must be finite and positive, got {c!r}")
     c = Fraction(c)
     cf = expand(x)
     two_c = 2 * c
+    # Two signs per anchor index and pair: (1, 0), (0, 1) and each r, s >= 1
+    # with r*s < 2c. Those with r = 1 alone give at least 4c fractions, so
+    # 4c > WORLEY_BUDGET is refused before the pairs are counted.
+    num, den = two_c.numerator, two_c.denominator
+    if 4 * c > WORLEY_BUDGET or 2 * len(cf) * (2 + sum(
+            (num - 1) // (r * den) for r in range(1, math.ceil(two_c)))) > WORLEY_BUDGET:
+        raise ValueError(f"c = {float(c):g} would build more than"
+                         f" {WORLEY_BUDGET} candidate fractions")
     pairs = [(1, 0), (0, 1)]
     r = 1
     while r < two_c:
@@ -135,16 +146,10 @@ def locate_m_prime(ef: Fraction, bound: Fraction, cf: ContFrac | None = None):
     return None
 
 
-def rs_bounds(a_next: int, a_next2: int, a_next3: int, D, simple: bool = False):
-    """Heuristic search bounds on (r, s) for a given D = d / n^0.25.
-
-    With simple=True the partial quotients are ignored and (4D, 4D) is
-    returned, which holds with high probability.
-    """
+def rs_bounds(a_next: int, a_next2: int, a_next3: int, D):
+    """Heuristic search bounds on (r, s) for a given D = d / n^0.25."""
     if D < 0:
         raise ValueError("D must be nonnegative")
-    if simple:
-        return (4 * D, 4 * D)
     t3 = math.sqrt(2.122 * (a_next3 + 2))
     t2 = math.sqrt(2.122 * (a_next2 + 2))
     r_max = max(t3 * (a_next2 + 1) * D, t2 * D)

@@ -8,8 +8,8 @@ fingerprint of the stream is looked up before any hit is verified.
 With the gcd filter a hit (s, r) is kept only when gcd(r, s, 30) = 1: no
 prime of 2*3*5 divides both, so no coprime pair is lost. The filter costs
 nothing per probe since it runs on hits only. Its counters report, per
-fingerprint looked up at s, the classes of r modulo 30 that the filter
-admits (rows examined) or rules out (rows skipped).
+fingerprint looked up at s, the classes of r modulo 30 that it admits (rows
+examined) or rules out (rows skipped); an unfiltered probe counts no rows.
 """
 
 from functools import lru_cache
@@ -110,33 +110,29 @@ class FingerprintTable:
             return [r for r in rs if gcd(r, s, ROW_MODULUS) == 1]
         return list(rs)
 
+    def _charge(self, ss, gcd_filter):
+        """Count one probe at each s in the range ss and, with the filter,
+        the row classes it admits (examined) and rules out (skipped)."""
+        self.probes += len(ss)
+        if gcd_filter:
+            admitted = _admitted_rows(self._n_rows)
+            # Any 30 consecutive s cover each class of s mod 30 once.
+            periods, part = divmod(len(ss), ROW_MODULUS)
+            examined = periods * sum(admitted) + sum(admitted[s % ROW_MODULUS] for s in ss[:part])
+            self.rows_examined += examined
+            self.rows_skipped += len(ss) * self._n_rows - examined
+
     def probe_fp(self, fps, gcd_filter: bool = False) -> list:
         """(s, r) for every stored r whose fingerprint equals fps[s - 1],
-        in (s, r) order. Counters are left to count_probes."""
+        in (s, r) order; counts one probe at each s = 1..len(fps)."""
+        self._charge(range(1, len(fps) + 1), gcd_filter)
         hits = []
         for s in compress(_count(1), map(self._index.__contains__, fps)):
             hits.extend((s, r) for r in self._rs(fps[s - 1], s, gcd_filter))
         return hits
 
-    def count_probes(self, s_last: int, gcd_filter: bool = False):
-        """Count the probes of one stream at s = 1..s_last and their rows."""
-        visits = s_last * self._n_rows
-        examined = visits
-        if gcd_filter:
-            admitted = _admitted_rows(self._n_rows)
-            periods, part = divmod(s_last, ROW_MODULUS)
-            examined = periods * sum(admitted) + sum(admitted[1:part + 1])
-        self.probes += s_last
-        self.rows_examined += examined
-        self.rows_skipped += visits - examined
-
     def probe(self, target: int, s: int = 0, gcd_filter: bool = False) -> list:
         """All stored r whose fingerprint equals that of target, ascending;
         counts one probe at s."""
-        examined = self._n_rows
-        if gcd_filter:
-            examined = _admitted_rows(self._n_rows)[s % ROW_MODULUS]
-        self.probes += 1
-        self.rows_examined += examined
-        self.rows_skipped += self._n_rows - examined
+        self._charge(range(s, s + 1), gcd_filter)
         return self._rs(fingerprint(target, self.w), s, gcd_filter)

@@ -1,6 +1,6 @@
 """Exact integer kernels: modular power, modular inverse, integer square root."""
 
-from math import gcd, isqrt as _isqrt
+from math import gcd, isqrt  # isqrt raises ValueError on negatives
 
 
 class NotInvertibleError(ValueError):
@@ -31,9 +31,3 @@ def mod_inv(a: int, modulus: int) -> int:
         raise NotInvertibleError(a, modulus, g)
     return pow(a, -1, modulus)
 
-
-def isqrt(x: int) -> int:
-    """Floor of the square root of a nonnegative integer."""
-    if x < 0:
-        raise ValueError("isqrt of a negative number")
-    return _isqrt(x)

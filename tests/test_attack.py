@@ -121,31 +121,31 @@ class TestVvtExhaustive:
             hits += res.recovered and res.d == priv.d
         assert hits >= 54  # measured 193/200 at this configuration
 
-    def test_trial_count_is_exact(self):
+    @pytest.mark.parametrize("bounds", [
+        {"r_max": 32, "s_max": 32},
+        {"bound_mode": "fixed-4d", "d_ratio": 7.9},  # ceil(4 * 7.9) = 32
+    ], ids=["explicit", "fixed-4d"])
+    def test_trial_count_is_exact(self, bounds):
         # Exhausted key: every trial is made, so the count is the Wiener
-        # pass, two boundary convergents per anchor and one trial per
-        # coprime (r, s) pair per anchor, all counted here from scratch.
+        # pass and one trial per coprime (r, s) pair per anchor, all counted
+        # here from scratch.
         pub, _ = keygen_weak(96, 2**16, 3)
         R = S = 32
-        res = vvt_exhaustive(pub, AttackConfig(variant="vvt", r_max=R, s_max=S))
+        res = vvt_exhaustive(pub, AttackConfig(variant="vvt", **bounds))
         assert res.outcome == "exhausted"
         assert res.stats.m_tried == 3
         target, _ = approximation_target(pub)
         num, den = target.numerator, target.denominator
-        convergents = [(1, 0)]  # (k, d) at index -1
+        convergents = []  # (k, d)
         h0, h1, k0, k1 = 0, 1, 1, 0
         while den:
             a, num, den = num // den, den, num % den
             h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
             convergents.append((h1, k1))
-        wiener = sum(1 for k, d in convergents[1:] if k >= 1 and d >= 1)
-        m_prime = anchor_index(pub)
-        boundary = sum(1 for m in range(m_prime, m_prime + 3)
-                       for k, d in (convergents[m + 2], convergents[m + 1])
-                       if k >= 1 and d >= 1)
+        wiener = sum(1 for k, d in convergents if k >= 1 and d >= 1)
         coprime = sum(1 for r in range(1, R + 1) for s in range(1, S + 1)
                       if gcd(r, s) == 1)
-        assert res.stats.method1_trials == wiener + boundary + 3 * coprime
+        assert res.stats.method1_trials == wiener + 3 * coprime == 1991
 
     def test_bound_modes(self):
         pub, priv = keygen_weak(96, 4, 5)
@@ -183,27 +183,33 @@ class TestMitmAttack:
                 if rv.recovered:
                     assert (rv.d, rv.k) == (rm.d, rm.k)
 
-    @pytest.mark.parametrize("d_ratio, seed, outcome", [
-        (2**20, 123, "exhausted"),
-        (16, 0, "recovered"),  # beyond Wiener, so recovered inside a window
-    ], ids=["exhausted", "recovered"])
-    def test_probe_counters(self, d_ratio, seed, outcome):
+    @pytest.mark.parametrize("d_ratio, seed, outcome, gcd_rows", [
+        (2**20, 123, "exhausted", True),
+        (16, 0, "recovered", True),  # beyond Wiener, so recovered inside a window
+        (2**20, 123, "exhausted", False),
+        (16, 0, "recovered", False),
+    ], ids=["exhausted", "recovered", "exhausted-no-rows", "recovered-no-rows"])
+    def test_probe_counters(self, d_ratio, seed, outcome, gcd_rows):
         # Every s of both streams is looked up at every anchor tried, before
-        # any hit is verified; a lookup at s visits the 30 classes of r mod
-        # 30 and the filter skips a class c when gcd(c, s, 30) > 1.
+        # any hit is verified. With the filter a lookup at s visits the 30
+        # classes of r mod 30 and skips a class c when gcd(c, s, 30) > 1;
+        # without it there are no classes to count.
         pub, _ = keygen_weak(96, d_ratio, seed)
         assert wiener_classic(pub).outcome == "exhausted"
         R = S = 64
         res = mitm_attack(pub, AttackConfig(
-            variant="mitm", r_max=R, s_max=S, gcd_rows=True,
+            variant="mitm", r_max=R, s_max=S, gcd_rows=gcd_rows,
             probe_minus_form=True))
         assert res.outcome == outcome
         streams = 2 * res.stats.m_tried
         examined = sum(1 for s in range(1, S + 1) for c in range(30)
                        if gcd(c, s, 30) == 1)
+        skipped = 30 * S - examined
+        if not gcd_rows:
+            examined = skipped = 0
         assert res.stats.probes == streams * S
         assert res.stats.rows_examined == streams * examined
-        assert res.stats.rows_skipped == streams * (30 * S - examined)
+        assert res.stats.rows_skipped == streams * skipped
 
     def test_minus_form_matches_oracle(self):
         for seed in MINUS_ONLY_SEEDS:

@@ -1,10 +1,11 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from rsacf import keygen_weak, read_key, write_key
+from rsacf import contfrac, keygen_weak, read_key, write_key
 from rsacf.cli import main
 
 # 96-bit key, d about 4 * n^0.25, recoverable only through the minus form
@@ -212,6 +213,26 @@ def test_bad_float_input_exit_2(tmp_path, capsys, argv):
         argv += ("-o", str(out_file))
     _assert_input_error(*run(capsys, *argv))
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("num, den, c", [
+    (1, 3, "1e6"),
+    (3**646, 2**1024 - 3, "16"),  # about 600 partial quotients
+], ids=["c-1e6", "1024-bit"])
+def test_cf_candidate_budget_exit_2(capsys, monkeypatch, num, den, c):
+    # Refused before any pair or candidate is built.
+    def no_candidates(*args):
+        raise AssertionError("a candidate was built")
+    monkeypatch.setattr(contfrac, "WorleyCandidate", no_candidates)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "cf", "--num", str(num), "--den", str(den), "--c", c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_input_error(code, out, err)
+    assert "candidate fractions" in err
+    assert peak < 1 << 20
 
 
 class TestBench:

@@ -137,10 +137,6 @@ class TestLocateMPrime:
 
 
 class TestRsBounds:
-    def test_simple_mode(self):
-        assert rs_bounds(0, 0, 0, 4, simple=True) == (16, 16)
-        assert rs_bounds(9, 9, 9, 2.5, simple=True) == (10.0, 10.0)
-
     def test_rejects_negative_ratio(self):
         with pytest.raises(ValueError):
             rs_bounds(1, 1, 1, -1)
