@@ -12,12 +12,16 @@ from math import ceil, gcd, isfinite
 
 from . import contfrac
 from .mitm_table import FingerprintTable, fingerprint_width, power_chain_fps
-from .numeric import NotInvertibleError, isqrt, mod_inv, mod_pow
+from .numeric import isqrt, mod_inv, mod_pow
 from .rsa import PublicKey, method1_factor, method1_try
 
 VARIANTS = ("wiener", "vvt", "mitm")
 BOUND_MODES = ("fixed-4d", "quotient", "explicit")
 APPROX_MODES = ("plain", "improved")
+# Largest r_max or s_max of a mitm window. A table entry measures about
+# 100 B (119 B at peak) and a stream entry about 41 B, so a window at the
+# cap stays under about 1 GiB.
+MITM_MAX_BOUND = 1 << 22
 
 
 @dataclass
@@ -116,11 +120,12 @@ def _first_recovered(pub, pairs, stats):
 
 def wiener_classic(pub: PublicKey) -> AttackResult:
     """Try every convergent denominator of e/n as the secret exponent."""
-    # The anchor search with no anchors is the Wiener pass alone.
-    return _anchor_search(pub, AttackConfig(variant="wiener", m_candidates=()), None)
+    return run_attack(pub, AttackConfig(variant="wiener"))
 
 
 def _m_candidates(cf, target, bound, cfg):
+    if cfg.variant == "wiener":
+        return []  # the Wiener pass alone
     top = len(cf) - 2  # need convergent m+1
     if cfg.m_candidates is not None:
         return [m for m in cfg.m_candidates if -1 <= m <= top]
@@ -146,21 +151,19 @@ def _bounds_for(cfg, cf, m):
                          f" (d_ratio {cfg.d_ratio!r})") from None
 
 
-def _gcd_break(g, n, stats):
-    p, q = min(g, n // g), max(g, n // g)
-    return AttackResult("gcd-break", p=p, q=q, stats=stats)
-
-
 def _anchor_search(pub, cfg, window):
     """The loop every engine shares: the Wiener pass over the target's
     convergents, then per anchor index m window(pub, cfg, p0, q0, p1, q1,
     r_max, s_max, stats), which searches the (r, s) window around
     convergents m and m + 1, bar the corners r = 1, s = 0 and r = 0, s = 1
-    that the Wiener pass tried, and returns an AttackResult or None."""
+    that the Wiener pass tried, and returns an AttackResult or None. An
+    even n splits as 2 * (n // 2) before any search."""
     cfg.validate()
     stats = Stats()
     t0 = time.perf_counter()
     try:
+        if pub.n % 2 == 0:
+            return AttackResult("gcd-break", p=2, q=pub.n // 2, stats=stats)
         target, bound = approximation_target(pub, cfg.approx)
         cf = contfrac.expand(target)
         result = _first_recovered(pub, cf.convergents, stats)
@@ -198,11 +201,11 @@ def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
             k += p1
             if gcd(r, s) != 1:
                 continue
-            if k >= 1:
-                trials += 1
-                got = method1_try(n, e, d, k)
-                if got[2] is None:
-                    return (d, k, got[0], got[1]), trials
+            # k = s*p0 + r*p1 >= 1: p0, p1 >= 0 and never both 0.
+            trials += 1
+            got = method1_try(n, e, d, k)
+            if got[2] is None:
+                return (d, k, got[0], got[1]), trials
             if minus_form:
                 dm = d - two_sq0
                 km = k - two_sp0
@@ -230,15 +233,16 @@ def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
 
 
 def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
+    if max(r_max, s_max) > MITM_MAX_BOUND:
+        raise ValueError(f"mitm bounds ({r_max}, {s_max}) exceed the cap of"
+                         f" {MITM_MAX_BOUND} per side")
     n, e = pub.n, pub.e
+    # n is odd, so the powers of 2 are units and invertible.
     a = mod_pow(2, e * q1, n)
     bq = mod_pow(2, e * q0, n)
-    try:
-        b = mod_inv(bq, n)
-        w = fingerprint_width(r_max, s_max)
-        table = FingerprintTable.build(a, n, r_max, w)
-    except NotInvertibleError as exc:
-        return _gcd_break(exc.gcd, n, stats)
+    b = mod_inv(bq, n)
+    w = fingerprint_width(r_max, s_max)
+    table = FingerprintTable.build(a, n, r_max, w)
     stats.modmuls += table.modmuls
     stats.table_bytes = max(stats.table_bytes, table.nominal_bytes)
     mask = (1 << w) - 1
@@ -272,9 +276,9 @@ def mitm_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
     return _anchor_search(pub, cfg, _mitm_window)
 
 
+_WINDOWS = {"vvt": _scan_window, "mitm": _mitm_window}
+
+
 def run_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
-    if cfg.variant == "wiener":
-        return wiener_classic(pub)
-    if cfg.variant == "vvt":
-        return vvt_exhaustive(pub, cfg)
-    return mitm_attack(pub, cfg)
+    """The engine that cfg.variant names; wiener searches no window."""
+    return _anchor_search(pub, cfg, _WINDOWS.get(cfg.variant))

@@ -9,6 +9,7 @@ stdout stays golden-testable.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import __version__, bench, contfrac
@@ -108,22 +109,12 @@ def _cmd_attack(args):
         gcd_rows=args.gcd_rows,
         probe_minus_form=args.minus_form,
     )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"attack: {exc}", file=sys.stderr)
-        return 2
     result = run_attack(pub, cfg)
     if args.stats:
         st = result.stats
-        print(
-            f"stats: modmuls={st.modmuls} probes={st.probes}"
-            f" collisions={st.collisions} method1_trials={st.method1_trials}"
-            f" table_bytes={st.table_bytes} rows_examined={st.rows_examined}"
-            f" rows_skipped={st.rows_skipped} m_tried={st.m_tried}"
-            f" wall_time={st.wall_time:.6f}s",
-            file=sys.stderr,
-        )
+        counters = [f"{f.name}={getattr(st, f.name)}"
+                    for f in fields(st) if f.name != "wall_time"]
+        print("stats:", *counters, f"wall_time={st.wall_time:.6f}s", file=sys.stderr)
     if result.outcome == "recovered":
         print(f"d = {result.d:x}")
         print(f"k = {result.k:x}")

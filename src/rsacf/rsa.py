@@ -5,6 +5,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
+from typing import NamedTuple
 
 from .numeric import isqrt, mod_pow
 
@@ -40,8 +41,7 @@ class PrivateKey:
     phi: int
 
 
-@dataclass(frozen=True)
-class Method1Result:
+class Method1Result(NamedTuple):
     """Outcome of the factor-recovery check; reject is a stage tag or None."""
 
     p: int | None
@@ -134,13 +134,13 @@ def keygen_weak(modulus_bits: int, d_ratio, seed: int):
 
 # Reject outcomes of method1_try, built once: the exhaustive scan rejects
 # almost every pair it tries, so it must not allocate per reject.
-_INEXACT_PHI = (None, None, "inexact-phi")
-_NEGATIVE_SUM = (None, None, "negative-sum")
-_NON_SQUARE = (None, None, "non-square")
-_PRODUCT_MISMATCH = (None, None, "product-mismatch")
+_INEXACT_PHI = Method1Result(None, None, "inexact-phi")
+_NEGATIVE_SUM = Method1Result(None, None, "negative-sum")
+_NON_SQUARE = Method1Result(None, None, "non-square")
+_PRODUCT_MISMATCH = Method1Result(None, None, "product-mismatch")
 
 
-def method1_try(n: int, e: int, d: int, k: int) -> tuple:
+def method1_try(n: int, e: int, d: int, k: int) -> Method1Result:
     """Factor n assuming (d, k) is the true exponent pair, k >= 1.
 
     Returns (p, q, None) with p * q == n, or (None, None, reject stage).
@@ -161,14 +161,14 @@ def method1_try(n: int, e: int, d: int, k: int) -> tuple:
     q = (psum + root) // 2
     if p <= 1 or p * q != n:
         return _PRODUCT_MISMATCH
-    return p, q, None
+    return Method1Result(p, q, None)
 
 
 def method1_factor(pub: PublicKey, d_cand: int, k_cand: int) -> Method1Result:
     """Try to factor n assuming (d_cand, k_cand) are the true exponent pair."""
     if k_cand < 1:
         raise ValueError("k_cand must be >= 1")
-    return Method1Result(*method1_try(pub.n, pub.e, d_cand, k_cand))
+    return method1_try(pub.n, pub.e, d_cand, k_cand)
 
 
 def method2_check(pub: PublicKey, d_cand: int) -> bool:

@@ -16,7 +16,7 @@ from rsacf import (
     vvt_exhaustive,
     wiener_classic,
 )
-from rsacf.attack import anchor_index
+from rsacf.attack import VARIANTS, anchor_index
 
 TOY = PublicKey(90581, 17993)  # p = 239, q = 379, d = 5, k = 1
 
@@ -259,3 +259,13 @@ class TestRunAttack:
     def test_validates_config(self):
         with pytest.raises(ValueError):
             run_attack(TOY, AttackConfig(variant="mitm"))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n, e", [
+        (8, 3), (12, 3), (16, 9), (194, 3), (4 * 1000003, 3),
+    ])
+    def test_even_modulus_splits_in_every_variant(self, n, e, variant):
+        res = run_attack(PublicKey(n, e),
+                         AttackConfig(variant=variant, r_max=4, s_max=4))
+        assert res.outcome == "gcd-break"
+        assert (res.p, res.q) == (2, n // 2)

@@ -1,11 +1,18 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import io
 import json
+import shlex
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rsacf import contfrac, keygen_weak, read_key, write_key
+from rsacf import attack, contfrac, keygen_weak, read_key, write_key
 from rsacf.cli import main
 
 # 96-bit key, d about 4 * n^0.25, recoverable only through the minus form
@@ -152,6 +159,7 @@ GOLDEN = [
     ((128, 4, 7), ("--bound-mode", "quotient", "--d-ratio", "4", "--improved-approx",
                    "--gcd-rows", "--minus-form")),
     (EXHAUSTED_KEY, ("--rmax", "8", "--smax", "8")),
+    ((96, 2, 0), ("--variant", "wiener", "--improved-approx")),
 ]
 
 
@@ -233,6 +241,85 @@ def test_cf_candidate_budget_exit_2(capsys, monkeypatch, num, den, c):
     _assert_input_error(code, out, err)
     assert "candidate fractions" in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "--variant", "mitm", "--rmax", "1099511627776", "--smax", "16"),
+    ("attack", "--variant", "mitm", "--bound-mode", "fixed4d", "--d-ratio", "1e12"),
+    ("bench", "success", "--bits", "64", "--d-ratio", "1e7", "--trials", "2"),
+], ids=["rmax-2^40", "fixed4d-1e12", "bench-1e7"])
+def test_mitm_chain_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # Refused before the first power of 2 is taken, so before any chain.
+    def no_chain(*args):
+        raise AssertionError("a power chain was started")
+    monkeypatch.setattr(attack, "mod_pow", no_chain)
+    if argv[0] == "attack":
+        key = tmp_path / "k.txt"
+        write_key(key, keygen_weak(96, 16, 0)[0])  # beyond Wiener, so a window opens
+        argv += ("--key", str(key))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_input_error(code, out, err)
+    assert "exceed the cap" in err
+    assert peak < 1 << 20
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+FLAGS = ("--improved-approx", "--gcd-rows", "--minus-form")
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(n=st.integers(6, 2**40), e=st.integers(1, 2**40),
+       variant=st.sampled_from(attack.VARIANTS),
+       r_max=st.integers(1, 8), s_max=st.integers(1, 8),
+       flags=st.lists(st.sampled_from(FLAGS), unique=True))
+@example(n=16, e=9, variant="mitm", r_max=4, s_max=4, flags=[])
+@example(n=8, e=3, variant="mitm", r_max=4, s_max=4, flags=[])
+def test_exit_code_contract(n, e, variant, r_max, s_max, flags):
+    # Any key file read_key accepts: exit 0, 1 or 2 with no traceback,
+    # stdout only on exit 0, and printed factors that multiply to n.
+    with tempfile.TemporaryDirectory() as tmp:
+        key = Path(tmp) / "k.txt"
+        key.write_text(f"n = {n:x}\ne = {e:x}\n")
+        outs = set()
+        for v in attack.VARIANTS if n % 2 == 0 else (variant,):
+            code, out, err = _run_quiet(["attack", "--key", str(key), "--variant", v,
+                                         "--rmax", str(r_max), "--smax", str(s_max),
+                                         *flags])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            if code:
+                assert out == ""
+                continue
+            fields = dict(line.split(" = ") for line in out.splitlines())
+            p, q = int(fields["p"], 16), int(fields["q"], 16)
+            assert 1 < p and p * q == n
+            outs.add(out)
+    if n % 2 == 0:
+        assert outs == {f"p = 2\nq = {n // 2:x}\n"}
+
+
+def test_readme_commands_exit_0(tmp_path, capsys, monkeypatch):
+    # Every `rsacf ...` line of the README's command-line block, in order.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    argvs = [shlex.split(line)[1:] for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("rsacf ")]
+    assert len(argvs) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 class TestBench:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rsacf import (
     GenerationError,
     KeyFormatError,
+    Method1Result,
     PrivateKey,
     PublicKey,
     isqrt,
@@ -18,7 +19,7 @@ from rsacf import (
     read_key,
     write_key,
 )
-from rsacf.rsa import is_probable_prime
+from rsacf.rsa import is_probable_prime, method1_try
 
 TOY = PublicKey(90581, 17993)  # p = 239, q = 379, d = 5, k = 1
 
@@ -56,6 +57,12 @@ class TestMethod1:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             method1_factor(TOY, 5, 0)
+
+    @pytest.mark.parametrize("d, k", [(5, 1), (3, 7), (7, 1), (2, 1)])
+    def test_try_returns_the_factor_result(self, d, k):
+        got = method1_try(TOY.n, TOY.e, d, k)
+        assert isinstance(got, Method1Result)
+        assert got == method1_factor(TOY, d, k)
 
     @given(st.integers(min_value=1, max_value=500),
            st.integers(min_value=1, max_value=500))
