@@ -6,7 +6,6 @@ from .attack import (
     AttackConfig,
     AttackResult,
     approximation_target,
-    mitm_attack,
     run_attack,
     vvt_exhaustive,
     wiener_classic,
@@ -31,7 +30,6 @@ __all__ = [
     "AttackConfig",
     "AttackResult",
     "approximation_target",
-    "mitm_attack",
     "run_attack",
     "vvt_exhaustive",
     "wiener_classic",

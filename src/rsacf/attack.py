@@ -6,7 +6,7 @@ the meet-in-the-middle one.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, gcd, isfinite
 
@@ -16,12 +16,15 @@ from .numeric import isqrt, mod_inv, mod_pow
 from .rsa import PublicKey, method1_factor, method1_try
 
 VARIANTS = ("wiener", "vvt", "mitm")
-BOUND_MODES = ("fixed-4d", "quotient", "explicit")
+BOUND_MODES = ("explicit", "fixed4d", "quotient")
 APPROX_MODES = ("plain", "improved")
 # Largest r_max or s_max of a mitm window. A table entry measures about
 # 100 B (119 B at peak) and a stream entry about 41 B, so a window at the
 # cap stays under about 1 GiB.
 MITM_MAX_BOUND = 1 << 22
+# Largest r_max * s_max of a vvt window: 2^14 x 2^14, about 150 s of
+# factor-recovery attempts at one anchor.
+VVT_MAX_PAIRS = 1 << 28
 
 
 @dataclass
@@ -30,7 +33,7 @@ class AttackConfig:
     r_max: int | None = None
     s_max: int | None = None
     bound_mode: str = "explicit"
-    d_ratio: float | None = None  # for fixed-4d / quotient bound modes
+    d_ratio: float | None = None  # for fixed4d / quotient bound modes
     approx: str = "plain"
     gcd_rows: bool = False
     probe_minus_form: bool = False
@@ -88,9 +91,7 @@ def approximation_target(pub: PublicKey, mode: str = "plain"):
     if mode == "plain":
         return Fraction(e, n), Fraction(2122, 1000) * Fraction(e, n * root)
     if mode == "improved":
-        two_root = isqrt(4 * n)
-        if two_root * two_root != 4 * n:
-            two_root += 1
+        two_root = isqrt(4 * n - 1) + 1  # ceil(2*sqrt(n))
         return (
             Fraction(e, n + 1 - two_root),
             Fraction(1221, 10000) * Fraction(e, n * root),
@@ -139,7 +140,7 @@ def _bounds_for(cfg, cf, m):
     if cfg.bound_mode == "explicit":
         return cfg.r_max, cfg.s_max
     try:
-        if cfg.bound_mode == "fixed-4d":
+        if cfg.bound_mode == "fixed4d":
             r = s = 4 * cfg.d_ratio
         else:
             r, s = contfrac.rs_bounds(
@@ -218,6 +219,9 @@ def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
 
 
 def _scan_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
+    if r_max * s_max > VVT_MAX_PAIRS:
+        raise ValueError(f"vvt bounds ({r_max}, {s_max}) exceed the cap of"
+                         f" {VVT_MAX_PAIRS} pairs")
     hit, trials = vvt_scan(
         pub.n, pub.e, p0, q0, p1, q1, r_max, s_max, cfg.probe_minus_form)
     stats.method1_trials += trials
@@ -229,10 +233,15 @@ def _scan_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
 def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
     """Exhaustive search over coprime (r, s) pairs, one factor-recovery
     attempt per pair. Quadratic in the bounds; serves as the oracle."""
-    return _anchor_search(pub, cfg, _scan_window)
+    return run_attack(pub, replace(cfg, variant="vvt"))
 
 
 def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
+    """Meet-in-the-middle search: table over a^r, probe stream over 2*b^s.
+
+    Per index m this costs O(r_max + s_max) modular multiplications instead
+    of the exhaustive engine's r_max * s_max factor-recovery attempts.
+    """
     if max(r_max, s_max) > MITM_MAX_BOUND:
         raise ValueError(f"mitm bounds ({r_max}, {s_max}) exceed the cap of"
                          f" {MITM_MAX_BOUND} per side")
@@ -250,9 +259,9 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
     bases = (b, bq) if cfg.probe_minus_form else (b,)
     hits = []
     for sign, base in enumerate(bases):
-        fps = power_chain_fps(2 * base % n, base, n, s_max, mask)[0]
+        fps, modmuls = power_chain_fps(2 * base % n, base, n, s_max, mask)
         hits += [(s, sign, r) for s, r in table.probe_fp(fps, cfg.gcd_rows)]
-        stats.modmuls += s_max  # chain muls plus the initial 2*base mod n
+        stats.modmuls += modmuls + 1  # chain muls plus the initial 2*base mod n
     stats.probes += table.probes
     stats.rows_examined += table.rows_examined
     stats.rows_skipped += table.rows_skipped
@@ -265,15 +274,6 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
     result = _first_recovered(pub, pairs, stats)
     stats.collisions += len(pairs) if result is None else pairs.index((result.k, result.d))
     return result
-
-
-def mitm_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
-    """Meet-in-the-middle search: table over a^r, probe stream over 2*b^s.
-
-    Per index m this costs O(r_max + s_max) modular multiplications instead
-    of the exhaustive engine's r_max * s_max factor-recovery attempts.
-    """
-    return _anchor_search(pub, cfg, _mitm_window)
 
 
 _WINDOWS = {"vvt": _scan_window, "mitm": _mitm_window}

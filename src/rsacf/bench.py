@@ -5,10 +5,7 @@ from dataclasses import dataclass
 from math import ceil, isfinite
 
 from .attack import AttackConfig, anchor_index, run_attack
-from .rsa import keygen_weak
-
-# keygen_weak refuses d ratios below 2^-8.
-_MIN_D_RATIO = 1.0 / 256
+from .rsa import MIN_D_RATIO, keygen_weak
 
 # (bound on r, bound on s) as multiples of D.
 SUCCESS_BOUND_ROWS = (
@@ -55,7 +52,7 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
     # trial key gets a secret exponent drawn uniformly below that cap.
     keys = []
     for _ in range(trials):
-        ratio = max(d_ratio * rng.random(), _MIN_D_RATIO)
+        ratio = max(d_ratio * rng.random(), MIN_D_RATIO)
         keys.append(keygen_weak(bits, ratio, rng.randrange(1 << 63)))
     anchors = [anchor_index(pub, approx) for pub, _ in keys]
     rows = []
@@ -82,13 +79,14 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
 
 
 def _minus_rescue(pub, m_prime, r_max, s_max, approx):
-    """Minus-form pass at the middle window index with the bounds swapped.
+    """Rescue pass at the middle window index m' + 1 with the bounds swapped.
 
     The candidate family behind the reference table pairs the plus form
     d = r*q_{m+1} + s*q_m over the whole window with a minus form anchored
     at m' + 1 in which the s bound limits the coefficient of the larger
     convergent, i.e. d = r'*q_{m'+2} - s'*q_{m'+1} with r' <= s_max and
-    s' <= r_max. That is exactly a minus-form run with swapped bounds.
+    s' <= r_max. The rescue is one mitm run: its own Wiener pass, then at
+    m' + 1 the plus and the minus stream, both with the swapped bounds.
     """
     cfg = AttackConfig(
         variant="mitm",

@@ -9,16 +9,14 @@ stdout stays golden-testable.
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from . import __version__, bench, contfrac
-from .attack import AttackConfig, run_attack
+from .attack import BOUND_MODES, VARIANTS, AttackConfig, run_attack
 from .rsa import GenerationError, KeyFormatError, keygen_weak, read_key, write_key
 
 DEFAULT_SEED = 0xC0FFEE
-
-_BOUND_MODE_MAP = {"fixed4d": "fixed-4d", "quotient": "quotient", "explicit": "explicit"}
 
 
 def _build_parser():
@@ -44,13 +42,14 @@ def _build_parser():
 
     at = sub.add_parser("attack", help="recover the secret exponent of a key")
     at.add_argument("--key", required=True)
-    at.add_argument("--variant", choices=("wiener", "vvt", "mitm"), default="mitm")
+    at.add_argument("--variant", choices=VARIANTS, default="mitm")
     at.add_argument("--rmax", type=int, default=None)
     at.add_argument("--smax", type=int, default=None)
-    at.add_argument("--bound-mode", choices=sorted(_BOUND_MODE_MAP), default="explicit")
+    at.add_argument("--bound-mode", choices=BOUND_MODES, default="explicit")
     at.add_argument("--d-ratio", type=float, default=None,
                     help="assumed d / n^0.25 for fixed4d/quotient bound modes")
-    at.add_argument("--improved-approx", action="store_true")
+    at.add_argument("--improved-approx", dest="approx", action="store_const",
+                    const="improved", default="plain")
     at.add_argument("--gcd-rows", action="store_true")
     at.add_argument("--minus-form", action="store_true")
     at.add_argument("--stats", action="store_true")
@@ -62,7 +61,8 @@ def _build_parser():
     bs.add_argument("--d-ratio", type=float, required=True)
     bs.add_argument("--trials", type=int, required=True)
     bs.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    bs.add_argument("--improved-approx", action="store_true")
+    bs.add_argument("--improved-approx", dest="approx", action="store_const",
+                    const="improved", default="plain")
     bs.add_argument("--json", action="store_true")
     bb = be_sub.add_parser("bounds", help="bound-comparison table")
     bb.add_argument("--rows", default=",".join(map(str, bench.DEFAULT_BOUND_TABLE_ROWS)),
@@ -79,8 +79,7 @@ def _cmd_keygen(args):
 
 def _cmd_cf(args):
     if args.den <= 0 or args.num < 0:
-        print("cf: need num >= 0 and den > 0", file=sys.stderr)
-        return 2
+        raise ValueError("cf: need num >= 0 and den > 0")
     x = Fraction(args.num, args.den)
     # Enumerated first, so a bad --c fails before anything is printed.
     candidates = [] if args.c is None else contfrac.worley_enumerate(x, args.c)
@@ -103,9 +102,9 @@ def _cmd_attack(args):
         variant=args.variant,
         r_max=args.rmax,
         s_max=args.smax,
-        bound_mode=_BOUND_MODE_MAP[args.bound_mode],
+        bound_mode=args.bound_mode,
         d_ratio=args.d_ratio,
-        approx="improved" if args.improved_approx else "plain",
+        approx=args.approx,
         gcd_rows=args.gcd_rows,
         probe_minus_form=args.minus_form,
     )
@@ -115,18 +114,15 @@ def _cmd_attack(args):
         counters = [f"{f.name}={getattr(st, f.name)}"
                     for f in fields(st) if f.name != "wall_time"]
         print("stats:", *counters, f"wall_time={st.wall_time:.6f}s", file=sys.stderr)
-    if result.outcome == "recovered":
+    if result.outcome == "exhausted":
+        print("exhausted", file=sys.stderr)
+        return 1
+    if result.recovered:
         print(f"d = {result.d:x}")
         print(f"k = {result.k:x}")
-        print(f"p = {result.p:x}")
-        print(f"q = {result.q:x}")
-        return 0
-    if result.outcome == "gcd-break":
-        print(f"p = {result.p:x}")
-        print(f"q = {result.q:x}")
-        return 0
-    print("exhausted", file=sys.stderr)
-    return 1
+    print(f"p = {result.p:x}")
+    print(f"q = {result.q:x}")
+    return 0
 
 
 def _cmd_bench(args):
@@ -134,8 +130,7 @@ def _cmd_bench(args):
         try:
             rows = tuple(int(tok) for tok in args.rows.split(","))
         except ValueError:
-            print("bench: --rows must be comma-separated integers", file=sys.stderr)
-            return 2
+            raise ValueError("bench: --rows must be comma-separated integers") from None
         table = bench.bound_table(rows)
         if args.json:
             print(json.dumps(
@@ -144,15 +139,10 @@ def _cmd_bench(args):
         else:
             print(bench.format_bound_table(table))
         return 0
-    rows = bench.success_table(
-        args.bits, args.d_ratio, args.trials, args.seed,
-        approx="improved" if args.improved_approx else "plain",
-    )
+    rows = bench.success_table(args.bits, args.d_ratio, args.trials, args.seed,
+                               approx=args.approx)
     if args.json:
-        print(json.dumps(
-            [{"r_bound_mult": r.r_bound_mult, "s_bound_mult": r.s_bound_mult,
-              "trials": r.trials, "successes": r.successes, "rate": r.rate}
-             for r in rows]))
+        print(json.dumps([{**asdict(r), "rate": r.rate} for r in rows]))
     else:
         print(bench.format_success_table(rows))
     return 0

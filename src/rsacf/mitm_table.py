@@ -25,10 +25,14 @@ MIN_WIDTH = 16
 MAX_WIDTH = 64
 
 
-def fingerprint(x: int, w: int) -> int:
-    """Low w bits of x; equal inputs give equal fingerprints."""
+def _check_width(w):
     if not MIN_WIDTH <= w <= MAX_WIDTH:
         raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {w}")
+
+
+def fingerprint(x: int, w: int) -> int:
+    """Low w bits of x; equal inputs give equal fingerprints."""
+    _check_width(w)
     return x & ((1 << w) - 1)
 
 
@@ -89,6 +93,7 @@ class FingerprintTable:
             raise NotInvertibleError(a, n, g)
         if w is None:
             w = fingerprint_width(R)
+        _check_width(w)
         fps, modmuls = power_chain_fps(a, a, n, R, (1 << w) - 1)
         index = {}
         for r, fp in enumerate(fps, 1):

@@ -15,6 +15,8 @@ _MR_ROUNDS_BIG = 64
 
 _KEY_NAMES = ("n", "e", "p", "q", "d")
 _LINE_RE = re.compile(r"^\s*([a-z]+)\s*=\s*([0-9a-f]+)\s*$")
+# Smallest d ratio keygen_weak accepts.
+MIN_D_RATIO = 2**-8
 
 
 class GenerationError(RuntimeError):
@@ -100,7 +102,7 @@ def keygen_weak(modulus_bits: int, d_ratio, seed: int):
     if not isfinite(d_ratio):
         raise ValueError(f"d_ratio must be finite, got {d_ratio!r}")
     D = Fraction(d_ratio)
-    if D < Fraction(1, 256):
+    if D < MIN_D_RATIO:
         raise ValueError("d_ratio must be >= 2**-8")
     rng = random.Random(seed)
     half = modulus_bits // 2

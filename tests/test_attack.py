@@ -5,18 +5,20 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from rsacf import (
     AttackConfig,
     PublicKey,
     approximation_target,
     keygen_weak,
-    mitm_attack,
     run_attack,
     vvt_exhaustive,
     wiener_classic,
 )
-from rsacf.attack import VARIANTS, anchor_index
+from rsacf import attack, contfrac
+from rsacf.attack import APPROX_MODES, BOUND_MODES, VARIANTS, anchor_index
 
 TOY = PublicKey(90581, 17993)  # p = 239, q = 379, d = 5, k = 1
 
@@ -60,11 +62,11 @@ class TestAttackConfig:
         {"variant": "mitm", "r_max": 1, "s_max": 1, "approx": "nope"},
         {"variant": "mitm"},                                # missing bounds
         {"variant": "vvt", "r_max": 4},                     # missing s_max
-        {"variant": "mitm", "bound_mode": "fixed-4d"},      # missing d_ratio
+        {"variant": "mitm", "bound_mode": "fixed4d"},      # missing d_ratio
         {"variant": "mitm", "bound_mode": "quotient", "d_ratio": 0},
         {"variant": "vvt", "r_max": -3, "s_max": 4},        # non-positive bound
         {"variant": "mitm", "bound_mode": "quotient", "d_ratio": float("inf")},
-        {"variant": "vvt", "bound_mode": "fixed-4d", "d_ratio": float("nan")},
+        {"variant": "vvt", "bound_mode": "fixed4d", "d_ratio": float("nan")},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -123,7 +125,7 @@ class TestVvtExhaustive:
 
     @pytest.mark.parametrize("bounds", [
         {"r_max": 32, "s_max": 32},
-        {"bound_mode": "fixed-4d", "d_ratio": 7.9},  # ceil(4 * 7.9) = 32
+        {"bound_mode": "fixed4d", "d_ratio": 7.9},  # ceil(4 * 7.9) = 32
     ], ids=["explicit", "fixed-4d"])
     def test_trial_count_is_exact(self, bounds):
         # Exhausted key: every trial is made, so the count is the Wiener
@@ -149,7 +151,7 @@ class TestVvtExhaustive:
 
     def test_bound_modes(self):
         pub, priv = keygen_weak(96, 4, 5)
-        for mode in ("fixed-4d", "quotient"):
+        for mode in ("fixed4d", "quotient"):
             res = vvt_exhaustive(
                 pub, AttackConfig(variant="vvt", bound_mode=mode, d_ratio=4))
             assert res.recovered and res.d == priv.d
@@ -158,13 +160,13 @@ class TestVvtExhaustive:
 class TestMitmAttack:
     def test_recovers_weak_key(self):
         pub, priv = keygen_weak(96, 16, 0)
-        res = mitm_attack(pub, AttackConfig(variant="mitm", r_max=64, s_max=64))
+        res = run_attack(pub, AttackConfig(variant="mitm", r_max=64, s_max=64))
         assert res.recovered and res.d == priv.d
         assert res.stats.table_bytes > 0
 
     def test_modmul_budget_linear_in_bounds(self):
         pub, _ = keygen_weak(96, 16, 0)
-        res = mitm_attack(pub, AttackConfig(variant="mitm", r_max=64, s_max=64))
+        res = run_attack(pub, AttackConfig(variant="mitm", r_max=64, s_max=64))
         assert res.stats.modmuls <= 4 * (64 + 64) * max(res.stats.m_tried, 1)
 
     def test_agrees_with_exhaustive_oracle(self):
@@ -178,10 +180,42 @@ class TestMitmAttack:
                 cfg_v = AttackConfig(variant="vvt", r_max=16, s_max=16, **extra)
                 cfg_m = AttackConfig(variant="mitm", r_max=16, s_max=16,
                                      gcd_rows=gcd_rows, **extra)
-                rv, rm = vvt_exhaustive(pub, cfg_v), mitm_attack(pub, cfg_m)
+                rv, rm = vvt_exhaustive(pub, cfg_v), run_attack(pub, cfg_m)
                 assert rv.outcome == rm.outcome
                 if rv.recovered:
                     assert (rv.d, rv.k) == (rm.d, rm.k)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(d_ratio=st.floats(0.25, 4), seed=st.integers(0, 2**63 - 1),
+           bound_mode=st.sampled_from(BOUND_MODES),
+           r_max=st.integers(1, 16), s_max=st.integers(1, 16),
+           approx=st.sampled_from(APPROX_MODES),
+           gcd_rows=st.booleans(), minus_form=st.booleans())
+    # Beyond Wiener, recovered inside a quotient-bound window of 418 pairs.
+    @example(d_ratio=2, seed=443, bound_mode="quotient", r_max=1, s_max=1,
+             approx="plain", gcd_rows=False, minus_form=False)
+    @example(d_ratio=4, seed=0, bound_mode="explicit", r_max=2, s_max=2,
+             approx="plain", gcd_rows=True, minus_form=True)  # exhausted
+    def test_agrees_with_oracle_over_bound_modes(
+            self, d_ratio, seed, bound_mode, r_max, s_max, approx, gcd_rows,
+            minus_form):
+        # Two-prime keys only: on an n with three or more prime factors a
+        # fingerprint collision may pass the factor check (see the README).
+        pub, _ = keygen_weak(96, d_ratio, seed)
+        cfg = AttackConfig(variant="mitm", r_max=r_max, s_max=s_max,
+                           bound_mode=bound_mode, d_ratio=d_ratio, approx=approx,
+                           gcd_rows=gcd_rows, probe_minus_form=minus_form)
+        # Keep the oracle's quadratic work small: at most 2^14 (r, s) pairs
+        # over all anchors tried.
+        target, bound = approximation_target(pub, approx)
+        cf = contfrac.expand(target)
+        anchors = attack._m_candidates(cf, target, bound, cfg)
+        assume(sum(r * s for r, s in (attack._bounds_for(cfg, cf, m) for m in anchors))
+               <= 1 << 14)
+        oracle, mitm = vvt_exhaustive(pub, cfg), run_attack(pub, cfg)
+        event(f"{bound_mode} {oracle.outcome}")
+        assert mitm.outcome == oracle.outcome
+        assert (mitm.d, mitm.k) == (oracle.d, oracle.k)
 
     @pytest.mark.parametrize("d_ratio, seed, outcome, gcd_rows", [
         (2**20, 123, "exhausted", True),
@@ -197,7 +231,7 @@ class TestMitmAttack:
         pub, _ = keygen_weak(96, d_ratio, seed)
         assert wiener_classic(pub).outcome == "exhausted"
         R = S = 64
-        res = mitm_attack(pub, AttackConfig(
+        res = run_attack(pub, AttackConfig(
             variant="mitm", r_max=R, s_max=S, gcd_rows=gcd_rows,
             probe_minus_form=True))
         assert res.outcome == outcome
@@ -214,7 +248,7 @@ class TestMitmAttack:
     def test_minus_form_matches_oracle(self):
         for seed in MINUS_ONLY_SEEDS:
             pub, priv = keygen_weak(96, 4, seed)
-            res = mitm_attack(
+            res = run_attack(
                 pub, AttackConfig(variant="mitm", r_max=16, s_max=16,
                                   probe_minus_form=True))
             assert res.recovered and res.d == priv.d
@@ -223,9 +257,9 @@ class TestMitmAttack:
         rng = random.Random(12)
         for _ in range(15):
             pub, priv = keygen_weak(96, 8, rng.randrange(1 << 63))
-            base = mitm_attack(
+            base = run_attack(
                 pub, AttackConfig(variant="mitm", r_max=32, s_max=32))
-            rows = mitm_attack(
+            rows = run_attack(
                 pub, AttackConfig(variant="mitm", r_max=32, s_max=32,
                                   gcd_rows=True))
             assert base.outcome == rows.outcome
@@ -234,8 +268,8 @@ class TestMitmAttack:
                 assert rows.stats.probes > 0
 
     def test_gcd_break(self):
-        res = mitm_attack(PublicKey(2 * 97, 3),
-                          AttackConfig(variant="mitm", r_max=4, s_max=4))
+        res = run_attack(PublicKey(2 * 97, 3),
+                         AttackConfig(variant="mitm", r_max=4, s_max=4))
         assert res.outcome == "gcd-break"
         assert (res.p, res.q) == (2, 97)
 
@@ -243,7 +277,7 @@ class TestMitmAttack:
         pub, _ = keygen_weak(96, 2**20, 123)
         m_prime = anchor_index(pub)
         assert m_prime == 15
-        res = mitm_attack(
+        res = run_attack(
             pub, AttackConfig(variant="mitm", r_max=8, s_max=8,
                               m_candidates=(m_prime,)))
         assert res.outcome == "exhausted"

@@ -243,16 +243,7 @@ def test_cf_candidate_budget_exit_2(capsys, monkeypatch, num, den, c):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("argv", [
-    ("attack", "--variant", "mitm", "--rmax", "1099511627776", "--smax", "16"),
-    ("attack", "--variant", "mitm", "--bound-mode", "fixed4d", "--d-ratio", "1e12"),
-    ("bench", "success", "--bits", "64", "--d-ratio", "1e7", "--trials", "2"),
-], ids=["rmax-2^40", "fixed4d-1e12", "bench-1e7"])
-def test_mitm_chain_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
-    # Refused before the first power of 2 is taken, so before any chain.
-    def no_chain(*args):
-        raise AssertionError("a power chain was started")
-    monkeypatch.setattr(attack, "mod_pow", no_chain)
+def _assert_capped(tmp_path, capsys, argv):
     if argv[0] == "attack":
         key = tmp_path / "k.txt"
         write_key(key, keygen_weak(96, 16, 0)[0])  # beyond Wiener, so a window opens
@@ -266,6 +257,31 @@ def test_mitm_chain_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
     _assert_input_error(code, out, err)
     assert "exceed the cap" in err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "--variant", "mitm", "--rmax", "1099511627776", "--smax", "16"),
+    ("attack", "--variant", "mitm", "--bound-mode", "fixed4d", "--d-ratio", "1e12"),
+    ("bench", "success", "--bits", "64", "--d-ratio", "1e7", "--trials", "2"),
+], ids=["rmax-2^40", "fixed4d-1e12", "bench-1e7"])
+def test_mitm_chain_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # Refused before the first power of 2 is taken, so before any chain.
+    def no_chain(*args):
+        raise AssertionError("a power chain was started")
+    monkeypatch.setattr(attack, "mod_pow", no_chain)
+    _assert_capped(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("attack", "--variant", "vvt", "--rmax", "1000000", "--smax", "1000000"),
+    ("attack", "--variant", "vvt", "--bound-mode", "fixed4d", "--d-ratio", "1e5"),
+], ids=["rmax-smax-10^6", "fixed4d-1e5"])
+def test_vvt_pair_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # Refused before the quadratic scan starts.
+    def no_scan(*args):
+        raise AssertionError("a vvt scan was started")
+    monkeypatch.setattr(attack, "vvt_scan", no_scan)
+    _assert_capped(tmp_path, capsys, argv)
 
 
 def _run_quiet(argv):

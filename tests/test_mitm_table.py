@@ -46,6 +46,10 @@ class TestBuild:
             FingerprintTable.build(0, N, 4)
         with pytest.raises(ValueError):
             FingerprintTable.build(N, N, 4)
+        with pytest.raises(ValueError):
+            FingerprintTable.build(3, N, 64, w=8)
+        with pytest.raises(ValueError):
+            FingerprintTable.build(3, N, 64, w=65)
 
     def test_shared_factor_surfaces(self):
         with pytest.raises(NotInvertibleError) as exc_info:

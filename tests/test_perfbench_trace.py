@@ -38,3 +38,14 @@ def test_traced_success_table_matches_untraced():
     assert counts["mitm_table.rows_examined"] > 0
     assert counts["rsa.method1_factor.ok"] > 0
     assert tracer.totals.calls["bench.success_table"] == 1
+
+
+def test_every_traced_name_exists():
+    # A traced name missing from the program is skipped silently and its
+    # metrics read 0, so a rename must fail here instead.
+    spans = _load_spans()
+    for module, attr, *_ in spans.TARGETS:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+    table = importlib.import_module("rsacf.mitm_table").FingerprintTable
+    for attr, *_ in spans.TABLE_TARGETS:
+        assert hasattr(table, attr), attr
