@@ -18,9 +18,10 @@ from .rsa import PublicKey, method1_factor, method1_try
 VARIANTS = ("wiener", "vvt", "mitm")
 BOUND_MODES = ("explicit", "fixed4d", "quotient")
 APPROX_MODES = ("plain", "improved")
-# Largest r_max or s_max of a mitm window. A table entry measures about
-# 100 B (119 B at peak) and a stream entry about 41 B, so a window at the
-# cap stays under about 1 GiB.
+# Largest r_max or s_max of a mitm window. A table at the cap holds about
+# 0.4 GiB by FingerprintTable.nominal_bytes, and the chain list that its
+# build and each probe stream keep adds about 41 B per entry, so a window
+# at the cap stays under about 1 GiB.
 MITM_MAX_BOUND = 1 << 22
 # Largest r_max * s_max of a vvt window: 2^14 x 2^14, about 150 s of
 # factor-recovery attempts at one anchor.

@@ -1,7 +1,7 @@
 """Desk-scale reproduction of the success-rate and bound-comparison tables."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, isfinite
 
 from .attack import AttackConfig, anchor_index, run_attack
@@ -70,16 +70,15 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
         for (pub, _), m_prime in zip(keys, anchors):
             if run_attack(pub, cfg).recovered:
                 successes += 1
-            elif m_prime is not None and _minus_rescue(
-                pub, m_prime, r_max, s_max, approx
-            ):
+            elif m_prime is not None and _minus_rescue(pub, m_prime, cfg):
                 successes += 1
         rows.append(SuccessRow(r_mult, s_mult, trials, successes))
     return rows
 
 
-def _minus_rescue(pub, m_prime, r_max, s_max, approx):
-    """Rescue pass at the middle window index m' + 1 with the bounds swapped.
+def _minus_rescue(pub, m_prime, cfg):
+    """Rescue pass for the row cfg at the middle window index m' + 1 with
+    the bounds swapped.
 
     The candidate family behind the reference table pairs the plus form
     d = r*q_{m+1} + s*q_m over the whole window with a minus form anchored
@@ -88,20 +87,15 @@ def _minus_rescue(pub, m_prime, r_max, s_max, approx):
     s' <= r_max. The rescue is one mitm run: its own Wiener pass, then at
     m' + 1 the plus and the minus stream, both with the swapped bounds.
     """
-    cfg = AttackConfig(
-        variant="mitm",
-        r_max=s_max,
-        s_max=r_max,
-        approx=approx,
-        gcd_rows=True,
-        probe_minus_form=True,
-        m_candidates=(m_prime + 1,),
-    )
-    return run_attack(pub, cfg).recovered
+    return run_attack(pub, replace(
+        cfg, r_max=cfg.s_max, s_max=cfg.r_max, probe_minus_form=True,
+        m_candidates=(m_prime + 1,))).recovered
 
 
 def bound_table(rows=DEFAULT_BOUND_TABLE_ROWS):
     """Reachable-d bit bounds: meet-in-the-middle (2^30 * n^0.25) vs LLL (n^0.292)."""
+    if any(log2n < 1 for log2n in rows):
+        raise ValueError("bench: every log2(n) row must be >= 1")
     return [
         (log2n, round(30 + 0.25 * log2n), round(0.292 * log2n))
         for log2n in rows

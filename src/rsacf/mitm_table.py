@@ -12,6 +12,7 @@ fingerprint looked up at s, the classes of r modulo 30 that it admits (rows
 examined) or rules out (rows skipped); an unfiltered probe counts no rows.
 """
 
+import sys
 from functools import lru_cache
 from itertools import compress, count as _count
 from math import gcd
@@ -104,8 +105,10 @@ class FingerprintTable:
 
     @property
     def nominal_bytes(self) -> int:
-        # Compact budget: w fingerprint bits plus an 8-byte index per entry.
-        return self.R * (self.w // 8 + 8)
+        """Bytes the table holds, measured from its objects: the index plus
+        one w-bit fingerprint int and one r int per entry."""
+        return sys.getsizeof(self._index) + self.R * (
+            sys.getsizeof(1 << (self.w - 1)) + sys.getsizeof(self.R))
 
     def _rs(self, fp, s, gcd_filter):
         rs = self._index.get(fp, ())
@@ -121,9 +124,7 @@ class FingerprintTable:
         self.probes += len(ss)
         if gcd_filter:
             admitted = _admitted_rows(self._n_rows)
-            # Any 30 consecutive s cover each class of s mod 30 once.
-            periods, part = divmod(len(ss), ROW_MODULUS)
-            examined = periods * sum(admitted) + sum(admitted[s % ROW_MODULUS] for s in ss[:part])
+            examined = sum(admitted[s % ROW_MODULUS] for s in ss)
             self.rows_examined += examined
             self.rows_skipped += len(ss) * self._n_rows - examined
 

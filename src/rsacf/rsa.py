@@ -128,8 +128,6 @@ def keygen_weak(modulus_bits: int, d_ratio, seed: int):
             if d > hi or gcd(d, phi) != 1:
                 continue
             e = pow(d, -1, phi)
-            if e >= n:
-                continue
             return PublicKey(n, e), PrivateKey(p, q, d, phi)
     raise GenerationError("could not generate a key within the retry budget")
 

@@ -23,6 +23,11 @@ class TestBoundTable:
     def test_custom_rows(self):
         assert bound_table((100,)) == [(100, 55, 29)]
 
+    @pytest.mark.parametrize("rows", [(0,), (-4,), (512, 0)])
+    def test_rejects_row_below_one(self, rows):
+        with pytest.raises(ValueError):
+            bound_table(rows)
+
 
 class TestSuccessTable:
     def test_deterministic(self):

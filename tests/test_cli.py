@@ -353,6 +353,13 @@ class TestBench:
         assert "100" in out
         assert run(capsys, "bench", "bounds", "--rows", "abc")[0] == 2
 
+    @pytest.mark.parametrize("rows", ["-4", "0", "512,0"])
+    def test_bounds_row_below_one_exit_2(self, capsys, rows):
+        # A log2(n) below 1 gave a row with a negative or zero LLL bound.
+        code, out, err = run(capsys, "bench", "bounds", f"--rows={rows}")
+        assert (code, out) == (2, "")
+        assert err.startswith("rsacf: ")
+
     def test_success_json_deterministic(self, capsys):
         args = ("bench", "success", "--bits", "64", "--d-ratio", "2",
                 "--trials", "4", "--seed", "9", "--json")

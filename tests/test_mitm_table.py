@@ -1,6 +1,7 @@
 """Unit tests for the fingerprint table used by the meet-in-the-middle search."""
 
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -67,9 +68,16 @@ class TestBuild:
         for r, fp in enumerate(fps, 1):
             assert fp == pow(3, r, N) & ((1 << 40) - 1)
 
-    def test_nominal_bytes(self):
-        table = FingerprintTable.build(3, N, 128, w=24)
-        assert table.nominal_bytes == 128 * (24 // 8 + 8)
+    def test_nominal_bytes_matches_held_memory(self):
+        R = 1 << 14
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = FingerprintTable.build(3, N, R, w=36)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert abs(table.nominal_bytes - held) <= held / 10
 
 
 class TestProbe:

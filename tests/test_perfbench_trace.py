@@ -3,11 +3,14 @@
 perfbench/spans.py patches named functions on the program's modules and
 reads fields of their results (AttackResult.stats, Method1Result.ok, ...).
 A rename there would pass every other test and break only the traced
-benchmark run, so one traced call runs here.
+benchmark run, so one traced call per workload's path runs here.
 """
 
 import importlib
 import importlib.util
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -23,21 +26,70 @@ def _load_spans():
     return spans
 
 
-def test_traced_success_table_matches_untraced():
-    mods = {name: importlib.import_module(name) for name in MODULES}
-    bench = mods["rsacf.bench"]
-    plain = bench.success_table(128, 16, 2, 5)
+def _trace(mods, call):
+    """call() untraced, then traced: (untraced result, traced result, totals)."""
+    plain = call()
     tracer = _load_spans().Tracer(mods)
     tracer.install()
     try:
-        traced = bench.success_table(128, 16, 2, 5)
+        traced = call()
     finally:
         tracer.uninstall()
+    return plain, traced, tracer.totals
+
+
+def _modules():
+    return {name: importlib.import_module(name) for name in MODULES}
+
+
+def test_traced_success_table_matches_untraced():
+    mods = _modules()
+    plain, traced, totals = _trace(
+        mods, lambda: mods["rsacf.bench"].success_table(128, 16, 2, 5))
     assert traced == plain
-    counts = tracer.totals.counts
-    assert counts["mitm_table.rows_examined"] > 0
-    assert counts["rsa.method1_factor.ok"] > 0
-    assert tracer.totals.calls["bench.success_table"] == 1
+    assert totals.counts["mitm_table.rows_examined"] > 0
+    assert totals.counts["rsa.method1_factor.ok"] > 0
+    assert totals.calls["bench.success_table"] == 1
+
+
+def test_traced_vvt_exhaustive_matches_untraced():
+    # The oracle96 workload's path.
+    mods = _modules()
+    attack = mods["rsacf.attack"]
+    pub, _ = mods["rsacf.rsa"].keygen_weak(96, 16, 0)
+    cfg = attack.AttackConfig(variant="vvt", r_max=64, s_max=64)
+
+    def call():
+        res = attack.vvt_exhaustive(pub, cfg)
+        return res.outcome, res.d, res.k, res.p, res.q, replace(res.stats, wall_time=0)
+
+    plain, traced, totals = _trace(mods, call)
+    assert traced == plain
+    assert totals.counts["kernel.vvt_scan.trials"] > 0
+    assert totals.calls["attack.vvt_exhaustive"] == 1
+
+
+def test_traced_cli_mitm_attack_matches_untraced(tmp_path):
+    # The mitm1024 workload's path, on a small key.
+    mods = _modules()
+    rsa, attack = mods["rsacf.rsa"], mods["rsacf.attack"]
+    pub, _ = rsa.keygen_weak(96, 16, 0)
+    key = str(tmp_path / "key.txt")
+    rsa.write_key(key, pub)
+    argv = ["attack", "--key", key, "--variant", "mitm", "--rmax", "64", "--smax", "64"]
+
+    def call():
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = mods["rsacf.cli"].main(argv)
+        return code, out.getvalue()
+
+    plain, traced, totals = _trace(mods, call)
+    assert traced == plain
+    assert totals.counts["kernel.power_chain_fps.modmuls"] > 0
+    # The traced table figure is the one --stats reports as table_bytes.
+    direct = attack.run_attack(pub, attack.AttackConfig(variant="mitm", r_max=64, s_max=64))
+    assert totals.counts["mitm_table.nominal_bytes"] == direct.stats.table_bytes > 0
 
 
 def test_every_traced_name_exists():
