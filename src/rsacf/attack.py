@@ -18,11 +18,20 @@ from .rsa import PublicKey, method1_factor, method1_try
 VARIANTS = ("wiener", "vvt", "mitm")
 BOUND_MODES = ("explicit", "fixed4d", "quotient")
 APPROX_MODES = ("plain", "improved")
-# Largest r_max or s_max of a mitm window. A table at the cap holds about
-# 0.4 GiB by FingerprintTable.nominal_bytes, and the chain list that its
-# build and each probe stream keep adds about 41 B per entry, so a window
-# at the cap stays under about 1 GiB.
+# Largest r_max or s_max of a mitm window. At the cap, an exhausted window's
+# indexes peak when its last r segment is looked up: the index of r and each
+# stream's index then hold 2^21 entries, at about 96 B an entry
+# (FingerprintTable.nominal_bytes, within 1% of the tracemalloc-held bytes
+# at 2^14), about 0.2 GiB each. The streams' indexes are then let go and the
+# index of r grows to 2^22 entries, 0.4 GiB. The chain segment being matched
+# adds about 40 B a value, so a window at the cap stays under about 1 GiB.
 MITM_MAX_BOUND = 1 << 22
+# Bound of a mitm window's first stage, on each side; each later stage
+# doubles it. A stage costs some microseconds of Python besides its chain
+# steps, and a step on a 128-bit key about 0.2 us: bench success, whose
+# windows are at most 64 a side, ran about 4% slower with a first stage of
+# 16. On a 1024-bit key 64 costs a recovered key about 0.3 ms more than 16.
+MITM_FIRST_STAGE = 64
 # Largest r_max * s_max of a vvt window: 2^14 x 2^14, about 150 s of
 # factor-recovery attempts at one anchor.
 VVT_MAX_PAIRS = 1 << 28
@@ -237,11 +246,33 @@ def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
     return run_attack(pub, replace(cfg, variant="vvt"))
 
 
-def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
-    """Meet-in-the-middle search: table over a^r, probe stream over 2*b^s.
+def _note_indexes(stats, r_index, s_indexes):
+    """Note the bytes a window's indexes hold together in stats.table_bytes,
+    a peak, and charge the probes of the streams' indexes, whose lookups are
+    done."""
+    held = r_index.nominal_bytes
+    for s_index in s_indexes:
+        stats.probes += s_index.probes
+        held += s_index.nominal_bytes
+    stats.table_bytes = max(stats.table_bytes, held)
 
-    Per index m this costs O(r_max + s_max) modular multiplications instead
-    of the exhaustive engine's r_max * s_max factor-recovery attempts.
+
+def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
+    """Meet-in-the-middle search for a^r == 2*b^s (mod n), in stages.
+
+    A stage with bound B covers r <= min(B, r_max) and s <= min(B, s_max);
+    B starts at MITM_FIRST_STAGE and doubles until both bounds are reached.
+    The chain of a^r and each probe stream of 2*b^s (and of 2*bq^s with the
+    minus form) continue from stage to stage, and each side keeps a
+    FingerprintTable from fingerprint to exponent. A stage looks its new r
+    segment up in the stream indexes, which hold the earlier stages' s, then
+    each new s segment up in the r index, which holds every r up to the
+    stage's bound, so each (r, s, sign) of the window is matched exactly
+    once. A segment is stored, and an index kept, only while a later lookup
+    will use it. Hits are tried in (stage, s, sign, r) order, and the window
+    stops at the first recovery: a key costs about max(r, s) modular
+    multiplications at its anchor, and an exhausted window r_max - 1 plus
+    s_max per stream, as many as one full table and one full stream per sign.
     """
     if max(r_max, s_max) > MITM_MAX_BOUND:
         raise ValueError(f"mitm bounds ({r_max}, {s_max}) exceed the cap of"
@@ -252,29 +283,62 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
     bq = mod_pow(2, e * q0, n)
     b = mod_inv(bq, n)
     w = fingerprint_width(r_max, s_max)
-    table = FingerprintTable.build(a, n, r_max, w)
-    stats.modmuls += table.modmuls
-    stats.table_bytes = max(stats.table_bytes, table.nominal_bytes)
     mask = (1 << w) - 1
     # Probe streams: plus form a^r == 2*b^s, minus form a^r == 2*bq^s.
     bases = (b, bq) if cfg.probe_minus_form else (b,)
-    hits = []
-    for sign, base in enumerate(bases):
-        fps, modmuls = power_chain_fps(2 * base % n, base, n, s_max, mask)
-        hits += [(s, sign, r) for s, r in table.probe_fp(fps, cfg.gcd_rows)]
-        stats.modmuls += modmuls + 1  # chain muls plus the initial 2*base mod n
-    stats.probes += table.probes
-    stats.rows_examined += table.rows_examined
-    stats.rows_skipped += table.rows_skipped
-    # Hits are tried in (s, sign, r) order, sign 0 (d = r*q1 + s*q0) before
-    # sign 1 (d = r*q1 - s*q0); every hit that does not recover collides.
-    pairs = []
-    for s, sign, r in sorted(hits):
-        t = -s if sign else s
-        pairs.append((r * p1 + t * p0, r * q1 + t * q0))
-    result = _first_recovered(pub, pairs, stats)
-    stats.collisions += len(pairs) if result is None else pairs.index((result.k, result.d))
-    return result
+    r_index = FingerprintTable(w, r_max)
+    s_indexes = [FingerprintTable(w) for _ in bases]
+    # Each chain continues from its last value, a^r_top or 2*base^s_top.
+    r_last, s_lasts = None, [2] * len(bases)
+    bound, r_top, s_top = MITM_FIRST_STAGE, 0, 0  # bounds of the stages done
+    try:
+        while r_top < r_max or s_top < s_max:
+            r_end, s_end = min(bound, r_max), min(bound, s_max)
+            hits = []
+            # A segment is freed once matched, before the next is made.
+            if r_top < r_end:
+                start = r_last * a % n if r_top else a
+                fps, modmuls, r_last = power_chain_fps(start, a, n, r_end - r_top, mask)
+                stats.modmuls += modmuls + (r_top > 0)
+                if s_top:
+                    hits += [(s, sign, r) for sign, s_index in enumerate(s_indexes)
+                             for r, s in s_index.probe_fp(fps, cfg.gcd_rows, r_top + 1)]
+                if r_end == r_max:
+                    # No later r is looked up in the streams' indexes: let
+                    # them go before the index of r grows for the last time.
+                    _note_indexes(stats, r_index, s_indexes)
+                    s_indexes = []
+                if s_top < s_max:
+                    r_index.extend(fps)
+                del fps
+            if s_top < s_end:
+                for sign, base in enumerate(bases):
+                    fps, modmuls, s_lasts[sign] = power_chain_fps(
+                        s_lasts[sign] * base % n, base, n, s_end - s_top, mask)
+                    stats.modmuls += modmuls + 1
+                    hits += [(s, sign, r) for s, r
+                             in r_index.probe_fp(fps, cfg.gcd_rows, s_top + 1)]
+                    if r_end < r_max:
+                        s_indexes[sign].extend(fps)
+                    del fps
+            r_top, s_top, bound = r_end, s_end, 2 * bound
+            # Sign 0 (d = r*q1 + s*q0) before sign 1 (d = r*q1 - s*q0);
+            # every hit that does not recover collides.
+            pairs = []
+            for s, sign, r in sorted(hits):
+                t = -s if sign else s
+                pairs.append((r * p1 + t * p0, r * q1 + t * q0))
+            result = _first_recovered(pub, pairs, stats)
+            if result is not None:
+                stats.collisions += pairs.index((result.k, result.d))
+                return result
+            stats.collisions += len(pairs)
+        return None
+    finally:
+        _note_indexes(stats, r_index, s_indexes)
+        stats.probes += r_index.probes
+        stats.rows_examined += r_index.rows_examined
+        stats.rows_skipped += r_index.rows_skipped
 
 
 _WINDOWS = {"vvt": _scan_window, "mitm": _mitm_window}

@@ -1,15 +1,18 @@
-"""Meet-in-the-middle fingerprint table over the powers a^r mod n.
+"""Meet-in-the-middle fingerprint indexes over the powers x^j mod n.
 
-Entries store only a truncated fingerprint (the low w bits of a^r mod n)
-plus the exponent r, in one hash index from fingerprint to r. A probe
-stream 2*b^s is looked up in bulk, one call per stream, and every
-fingerprint of the stream is looked up before any hit is verified.
+An index stores only a truncated fingerprint (the low w bits of x^j mod n)
+plus the exponent j, in one hash from fingerprint to j, and grows by
+segments of consecutive exponents. The mitm window (attack._mitm_window)
+keeps one index over a^r and one per probe stream 2*b^s, grows both sides
+stage by stage, and looks each new segment up in bulk in the other side's
+index, one call per segment.
 
 With the gcd filter a hit (s, r) is kept only when gcd(r, s, 30) = 1: no
 prime of 2*3*5 divides both, so no coprime pair is lost. The filter costs
 nothing per probe since it runs on hits only. Its counters report, per
-fingerprint looked up at s, the classes of r modulo 30 that it admits (rows
-examined) or rules out (rows skipped); an unfiltered probe counts no rows.
+fingerprint looked up at s in an index with a row bound, the classes of r
+modulo 30 that it admits (rows examined) or rules out (rows skipped); an
+unfiltered probe, or one into an index without a row bound, counts no rows.
 """
 
 import sys
@@ -47,8 +50,8 @@ def fingerprint_width(r_max: int, s_max: int = 0) -> int:
 def power_chain_fps(start, mult, n, count, mask):
     """Fingerprints of start, start*mult, ... (count values, mod n).
 
-    Returns (fps, modmuls); one modular multiplication per step after the
-    first value.
+    Returns (fps, modmuls, last): one modular multiplication per step after
+    the first value, and the last value, from which a chain continues.
     """
     fps = []
     append = fps.append
@@ -57,7 +60,7 @@ def power_chain_fps(start, mult, n, count, mask):
         append(cur & mask)
         if i + 1 < count:
             cur = cur * mult % n
-    return fps, max(count - 1, 0)
+    return fps, max(count - 1, 0), cur
 
 
 @lru_cache(maxsize=None)
@@ -69,21 +72,24 @@ def _admitted_rows(n_rows):
 
 
 class FingerprintTable:
-    """Immutable after build; probes are read-only apart from counters."""
+    """Index from fingerprint to exponent. It grows by extend; probes are
+    read-only apart from counters."""
 
-    def __init__(self, R, w, index, modmuls):
-        self.R = R
+    def __init__(self, w, row_bound=0):
+        _check_width(w)
         self.w = w
-        self._index = index  # fp -> r, or an ascending tuple of r
-        self._n_rows = min(R, ROW_MODULUS)  # non-empty classes of r mod 30
-        self.modmuls = modmuls
+        self.R = 0  # stored exponents: 1..R
+        self._index = {}  # fp -> exponent, or an ascending tuple of them
+        # A probe counts the classes mod 30 of the exponents 1..row_bound.
+        self._n_rows = min(row_bound, ROW_MODULUS)
+        self.modmuls = 0
         self.probes = 0
         self.rows_examined = 0
         self.rows_skipped = 0
 
     @classmethod
     def build(cls, a, n, R, w=None):
-        """Insert fingerprint(a^r mod n) for r in [1, R], one modmul per step."""
+        """Index fingerprint(a^r mod n) for r in [1, R], one modmul per step."""
         if R < 1:
             raise ValueError("R must be >= 1")
         if not 0 < a < n:
@@ -92,21 +98,24 @@ class FingerprintTable:
         if g != 1:
             # A shared factor breaks n outright; surface it.
             raise NotInvertibleError(a, n, g)
-        if w is None:
-            w = fingerprint_width(R)
-        _check_width(w)
-        fps, modmuls = power_chain_fps(a, a, n, R, (1 << w) - 1)
-        index = {}
-        for r, fp in enumerate(fps, 1):
-            prev = index.setdefault(fp, r)
-            if prev != r:
-                index[fp] = (prev if type(prev) is tuple else (prev,)) + (r,)
-        return cls(R, w, index, modmuls)
+        table = cls(fingerprint_width(R) if w is None else w, R)
+        fps, table.modmuls, _ = power_chain_fps(a, a, n, R, (1 << table.w) - 1)
+        table.extend(fps)
+        return table
+
+    def extend(self, fps):
+        """Store fps[i] under exponent R + 1 + i."""
+        index = self._index
+        for j, fp in enumerate(fps, self.R + 1):
+            prev = index.setdefault(fp, j)
+            if prev != j:
+                index[fp] = (prev if type(prev) is tuple else (prev,)) + (j,)
+        self.R += len(fps)
 
     @property
     def nominal_bytes(self) -> int:
         """Bytes the table holds, measured from its objects: the index plus
-        one w-bit fingerprint int and one r int per entry."""
+        one w-bit fingerprint int and one exponent int per entry."""
         return sys.getsizeof(self._index) + self.R * (
             sys.getsizeof(1 << (self.w - 1)) + sys.getsizeof(self.R))
 
@@ -122,19 +131,19 @@ class FingerprintTable:
         """Count one probe at each s in the range ss and, with the filter,
         the row classes it admits (examined) and rules out (skipped)."""
         self.probes += len(ss)
-        if gcd_filter:
+        if gcd_filter and self._n_rows:
             admitted = _admitted_rows(self._n_rows)
             examined = sum(admitted[s % ROW_MODULUS] for s in ss)
             self.rows_examined += examined
             self.rows_skipped += len(ss) * self._n_rows - examined
 
-    def probe_fp(self, fps, gcd_filter: bool = False) -> list:
-        """(s, r) for every stored r whose fingerprint equals fps[s - 1],
-        in (s, r) order; counts one probe at each s = 1..len(fps)."""
-        self._charge(range(1, len(fps) + 1), gcd_filter)
+    def probe_fp(self, fps, gcd_filter: bool = False, first: int = 1) -> list:
+        """(s, r) for every stored r whose fingerprint equals fps[s - first],
+        in (s, r) order; counts one probe at each s = first..first+len(fps)-1."""
+        self._charge(range(first, first + len(fps)), gcd_filter)
         hits = []
-        for s in compress(_count(1), map(self._index.__contains__, fps)):
-            hits.extend((s, r) for r in self._rs(fps[s - 1], s, gcd_filter))
+        for s in compress(_count(first), map(self._index.__contains__, fps)):
+            hits.extend((s, r) for r in self._rs(fps[s - first], s, gcd_filter))
         return hits
 
     def probe(self, target: int, s: int = 0, gcd_filter: bool = False) -> list:

@@ -220,7 +220,11 @@ def test_criterion_10_headline_range_out_of_scope(capfd):
     """D = 2^30 on 1024-bit n needs a table beyond desk-scale memory."""
     r_max = 1 << 30
     w = fingerprint_width(r_max)
-    nominal = r_max * (w // 8 + 8)
+    # The bytes per entry FingerprintTable.nominal_bytes measures on a built
+    # table of this width, scaled from 2^10 entries to 2^30.
+    pub, _ = keygen_weak(128, 4, 7)
+    sample = FingerprintTable.build(3, pub.n, 1 << 10, w=w)
+    nominal = sample.nominal_bytes * (r_max // sample.R)
     _verdict(capfd, 10, nominal > 8 * 2**30,
              f"D = 2^30 table needs ~{nominal / 2**30:.0f} GiB "
              f"(w = {w}); not reproduced at desk scale, criteria 1-9 "

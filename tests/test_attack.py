@@ -27,6 +27,19 @@ TOY = PublicKey(90581, 17993)  # p = 239, q = 379, d = 5, k = 1
 MINUS_ONLY_SEEDS = (4590906539325665225, 5165043997650783813)
 
 
+def _record_windows(monkeypatch):
+    """Record (p0, q0, p1, q1, r_max, s_max) of every mitm window run."""
+    windows = []
+    window = attack._WINDOWS["mitm"]
+
+    def record(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
+        windows.append((p0, q0, p1, q1, r_max, s_max))
+        return window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats)
+
+    monkeypatch.setitem(attack._WINDOWS, "mitm", record)
+    return windows
+
+
 class TestApproximationTarget:
     def test_plain(self):
         target, bound = approximation_target(TOY, "plain")
@@ -223,27 +236,127 @@ class TestMitmAttack:
         (2**20, 123, "exhausted", False),
         (16, 0, "recovered", False),
     ], ids=["exhausted", "recovered", "exhausted-no-rows", "recovered-no-rows"])
-    def test_probe_counters(self, d_ratio, seed, outcome, gcd_rows):
-        # Every s of both streams is looked up at every anchor tried, before
-        # any hit is verified. With the filter a lookup at s visits the 30
-        # classes of r mod 30 and skips a class c when gcd(c, s, 30) > 1;
-        # without it there are no classes to count.
+    def test_probe_counters(self, monkeypatch, d_ratio, seed, outcome, gcd_rows):
+        # Per anchor, each stage looks its new r up in the index of each
+        # stream's earlier s (empty at the first stage), and the new s of
+        # both streams up in the index of r. A window stops after the stage
+        # that recovers, the first whose bound covers the key's (r, s). With
+        # the filter a lookup at s visits the 30 classes of r mod 30 and
+        # skips a class c when gcd(c, s, 30) > 1; a lookup of r counts no
+        # classes, and without the filter there are none to count.
         pub, _ = keygen_weak(96, d_ratio, seed)
         assert wiener_classic(pub).outcome == "exhausted"
+        monkeypatch.setattr(attack, "MITM_FIRST_STAGE", 16)  # stages 16, 32, 64
+        windows = _record_windows(monkeypatch)
         R = S = 64
         res = run_attack(pub, AttackConfig(
             variant="mitm", r_max=R, s_max=S, gcd_rows=gcd_rows,
             probe_minus_form=True))
         assert res.outcome == outcome
-        streams = 2 * res.stats.m_tried
-        examined = sum(1 for s in range(1, S + 1) for c in range(30)
-                       if gcd(c, s, 30) == 1)
-        skipped = 30 * S - examined
+        tops = [R] * len(windows)  # the bound of each window's last stage
+        if res.recovered:
+            p0, q0, p1, q1 = windows[-1][:4]
+            # d = r*q1 + t*q0 and k = r*p1 + t*p0, with t = -s in the minus form.
+            det = q1 * p0 - q0 * p1
+            r, t = (res.d * p0 - res.k * q0) // det, (res.k * q1 - res.d * p1) // det
+            assert (r * q1 + t * q0, r * p1 + t * p0) == (res.d, res.k)
+            top = attack.MITM_FIRST_STAGE
+            while top < max(r, abs(t)):
+                top *= 2
+            assert top < R  # the window stops before its bounds
+            tops[-1] = top
+        first = attack.MITM_FIRST_STAGE
+        examined = skipped = 0
+        for top in tops:
+            for s in range(1, top + 1):
+                admitted = sum(1 for c in range(30) if gcd(c, s, 30) == 1)
+                examined += 2 * admitted
+                skipped += 2 * (30 - admitted)
         if not gcd_rows:
             examined = skipped = 0
-        assert res.stats.probes == streams * S
-        assert res.stats.rows_examined == streams * examined
-        assert res.stats.rows_skipped == streams * skipped
+        assert res.stats.probes == sum(2 * top + 2 * (top - first) for top in tops)
+        assert res.stats.rows_examined == examined
+        assert res.stats.rows_skipped == skipped
+
+    @pytest.mark.parametrize("minus_form", [False, True], ids=["plus", "minus"])
+    @pytest.mark.parametrize("gcd_rows", [False, True], ids=["no-rows", "rows"])
+    def test_each_match_tried_once(self, monkeypatch, minus_form, gcd_rows):
+        # 16-bit fingerprints over 300 x 300 pairs match by accident a few
+        # times per anchor. Whatever stage finds a match, the window must
+        # try each (r, s, sign) whose fingerprints match exactly once, and
+        # its chains must cost what one full table and one full stream
+        # per sign cost.
+        monkeypatch.setattr(attack, "fingerprint_width", lambda r_max, s_max=0: 16)
+        windows = _record_windows(monkeypatch)
+        pub, _ = keygen_weak(96, 2**20, 123)
+        n, e = pub.n, pub.e
+        R = S = 300
+        res = run_attack(pub, AttackConfig(
+            variant="mitm", r_max=R, s_max=S, gcd_rows=gcd_rows,
+            probe_minus_form=minus_form))
+        assert res.outcome == "exhausted"
+        matches = 0
+        for p0, q0, p1, q1, _, _ in windows:
+            a, bq = pow(2, e * q1, n), pow(2, e * q0, n)
+            rs_of = {}
+            for r in range(1, R + 1):
+                rs_of.setdefault(pow(a, r, n) & 0xFFFF, []).append(r)
+            for base in (pow(bq, -1, n), bq)[:1 + minus_form]:
+                for s in range(1, S + 1):
+                    for r in rs_of.get(2 * pow(base, s, n) % n & 0xFFFF, ()):
+                        matches += not gcd_rows or gcd(r, s, 30) == 1
+        assert res.stats.collisions == matches > 0
+        assert res.stats.modmuls == len(windows) * (R - 1 + (1 + minus_form) * S)
+
+    @pytest.mark.parametrize("R, S, r_stored, s_stored", [
+        (300, 300, 300, 256),  # the last stage's s segment is not stored
+        (300, 100, 128, 100),  # nor any r segment after the last s one
+        (50, 300, 50, 0),      # one r segment, looked up by every s
+    ])
+    def test_indexes_hold_what_later_lookups_use(self, monkeypatch, R, S,
+                                                 r_stored, s_stored):
+        # Stages 64, 128, 256, ...: a segment is stored only when a later
+        # stage looks it up from the other side.
+        indexes = []
+
+        class Kept(attack.FingerprintTable):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                indexes.append(self)
+
+        monkeypatch.setattr(attack, "FingerprintTable", Kept)
+        pub, _ = keygen_weak(96, 2**20, 123)
+        res = run_attack(pub, AttackConfig(variant="mitm", r_max=R, s_max=S,
+                                           m_candidates=(anchor_index(pub),)))
+        assert res.outcome == "exhausted"
+        r_index, s_index = indexes  # made in this order
+        assert (r_index.R, s_index.R) == (r_stored, s_stored)
+
+    @pytest.mark.parametrize("first_stage", [1, 4])
+    def test_stages_agree_with_oracle(self, monkeypatch, first_stage):
+        # Small first stages, so that keys are found at every stage of a
+        # window: the outcome and (d, k) stay the oracle's, with each flag.
+        monkeypatch.setattr(attack, "MITM_FIRST_STAGE", first_stage)
+        rng = random.Random(first_stage)
+        for i in range(24):
+            pub, _ = keygen_weak(96, 4, rng.randrange(1 << 63))
+            flags = {"gcd_rows": bool(i & 1), "probe_minus_form": bool(i & 2),
+                     "approx": "improved" if i & 4 else "plain"}
+            oracle = vvt_exhaustive(pub, AttackConfig(
+                variant="vvt", r_max=16, s_max=12, **flags))
+            mitm = run_attack(pub, AttackConfig(
+                variant="mitm", r_max=16, s_max=12, **flags))
+            assert (mitm.outcome, mitm.d, mitm.k) == (oracle.outcome, oracle.d, oracle.k)
+
+    def test_recovered_key_costs_its_own_rs(self):
+        # A 1024-bit key whose (r, s) lies within the first stage of its
+        # first anchor: the window stops there, long before the 2^15 chain
+        # steps of a full table and stream at R = S = 2^14.
+        pub, priv = keygen_weak(1024, 4, 0)
+        res = run_attack(pub, AttackConfig(variant="mitm", r_max=1 << 14, s_max=1 << 14))
+        assert res.recovered and res.d == priv.d
+        assert res.stats.m_tried == 1
+        assert res.stats.modmuls < 1 << 9
 
     def test_minus_form_matches_oracle(self):
         for seed in MINUS_ONLY_SEEDS:

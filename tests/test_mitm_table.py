@@ -63,8 +63,9 @@ class TestBuild:
         assert table.R == 100
 
     def test_chain_values_are_powers(self):
-        fps, modmuls = power_chain_fps(3, 3, N, 20, (1 << 40) - 1)
+        fps, modmuls, last = power_chain_fps(3, 3, N, 20, (1 << 40) - 1)
         assert modmuls == 19
+        assert last == pow(3, 20, N)
         for r, fp in enumerate(fps, 1):
             assert fp == pow(3, r, N) & ((1 << 40) - 1)
 

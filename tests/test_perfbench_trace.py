@@ -9,6 +9,7 @@ benchmark run, so one traced call per workload's path runs here.
 import importlib
 import importlib.util
 import io
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -69,7 +70,7 @@ def test_traced_vvt_exhaustive_matches_untraced():
     assert totals.calls["attack.vvt_exhaustive"] == 1
 
 
-def test_traced_cli_mitm_attack_matches_untraced(tmp_path):
+def test_traced_cli_mitm_attack_matches_untraced(tmp_path, monkeypatch):
     # The mitm1024 workload's path, on a small key.
     mods = _modules()
     rsa, attack = mods["rsacf.rsa"], mods["rsacf.attack"]
@@ -87,9 +88,31 @@ def test_traced_cli_mitm_attack_matches_untraced(tmp_path):
     plain, traced, totals = _trace(mods, call)
     assert traced == plain
     assert totals.counts["kernel.power_chain_fps.modmuls"] > 0
-    # The traced table figure is the one --stats reports as table_bytes.
-    direct = attack.run_attack(pub, attack.AttackConfig(variant="mitm", r_max=64, s_max=64))
-    assert totals.counts["mitm_table.nominal_bytes"] == direct.stats.table_bytes > 0
+    # The figure --stats reports as table_bytes is what the window's indexes
+    # hold together at their peak, measured here under tracemalloc. With
+    # r_max > s_max both indexes reach their final size, 2^10 entries, before
+    # the streams' index is let go, so kept alive they hold that peak.
+    pub, _ = rsa.keygen_weak(96, 2**20, 123)
+    indexes = []
+
+    class Kept(mods["rsacf.mitm_table"].FingerprintTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            indexes.append(self)  # keeps the window's indexes alive
+
+    monkeypatch.setattr(attack, "FingerprintTable", Kept)
+    cfg = attack.AttackConfig(variant="mitm", r_max=1 << 12, s_max=1 << 10,
+                              m_candidates=(attack.anchor_index(pub),))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = attack.run_attack(pub, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.outcome == "exhausted"
+    assert [index.R for index in indexes] == [1 << 10, 1 << 10]
+    assert abs(res.stats.table_bytes - held) <= held / 10
 
 
 def test_every_traced_name_exists():
