@@ -21,7 +21,6 @@ from .rsa import (
     PublicKey,
     keygen_weak,
     method1_factor,
-    method2_check,
     read_key,
     write_key,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "PublicKey",
     "keygen_weak",
     "method1_factor",
-    "method2_check",
     "read_key",
     "write_key",
 ]

@@ -59,19 +59,15 @@ def expand(x: Fraction) -> ContFrac:
     if x < 0:
         raise ValueError("expansion defined for nonnegative rationals only")
     num, den = x.numerator, x.denominator
-    quotients = []
+    quotients, convergents = [], []
+    p1, q1, p0, q0 = 0, 1, 1, 0  # p_{-2}, q_{-2}, p_{-1}, q_{-1}
     while den:
         a, rem = divmod(num, den)
         quotients.append(a)
-        num, den = den, rem
-    convergents = []
-    p1, q1 = 1, 0  # p_{-1}, q_{-1}
-    p0, q0 = quotients[0], 1
-    convergents.append((p0, q0))
-    for a in quotients[1:]:
         p0, p1 = a * p0 + p1, p0
         q0, q1 = a * q0 + q1, q0
         convergents.append((p0, q0))
+        num, den = den, rem
     return ContFrac(tuple(quotients), tuple(convergents))
 
 
@@ -90,21 +86,19 @@ def worley_enumerate(x: Fraction, c) -> list:
     cf = expand(x)
     two_c = 2 * c
     # Two signs per anchor index and pair: (1, 0), (0, 1) and each r, s >= 1
-    # with r*s < 2c. Those with r = 1 alone give at least 4c fractions, so
-    # 4c > WORLEY_BUDGET is refused before the pairs are counted.
+    # with r*s < 2c, that is r < 2c and s <= s_top(r). Those with r = 1
+    # alone give at least 4c fractions, so 4c > WORLEY_BUDGET is refused
+    # before the pairs are counted.
     num, den = two_c.numerator, two_c.denominator
-    if 4 * c > WORLEY_BUDGET or 2 * len(cf) * (2 + sum(
-            (num - 1) // (r * den) for r in range(1, math.ceil(two_c)))) > WORLEY_BUDGET:
+
+    def s_top(r):
+        return (num - 1) // (r * den)
+
+    r_range = range(1, math.ceil(two_c))
+    if 4 * c > WORLEY_BUDGET or 2 * len(cf) * (2 + sum(map(s_top, r_range))) > WORLEY_BUDGET:
         raise ValueError(f"c = {float(c):g} would build more than"
                          f" {WORLEY_BUDGET} candidate fractions")
-    pairs = [(1, 0), (0, 1)]
-    r = 1
-    while r < two_c:
-        s = 1
-        while r * s < two_c:
-            pairs.append((r, s))
-            s += 1
-        r += 1
+    pairs = [(1, 0), (0, 1)] + [(r, s) for r in r_range for s in range(1, s_top(r) + 1)]
     pairs.sort(key=lambda rs: (rs[0] * rs[1], rs[0], rs[1]))
 
     out = []

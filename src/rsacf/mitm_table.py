@@ -1,8 +1,10 @@
 """Meet-in-the-middle fingerprint indexes over the powers x^j mod n.
 
 An index stores only a truncated fingerprint (the low w bits of x^j mod n)
-plus the exponent j, in one hash from fingerprint to j, and grows by
-segments of consecutive exponents. The mitm window (attack._mitm_window)
+plus the exponent j, and grows by segments of consecutive exponents. One
+hash maps each fingerprint to its first exponent; a side hash maps a
+repeated fingerprint to a list of its later exponents, appended in place,
+so each repeat costs O(1). The mitm window (attack._mitm_window)
 keeps one index over a^r and one per probe stream 2*b^s, grows both sides
 stage by stage, and looks each new segment up in bulk in the other side's
 index, one call per segment.
@@ -48,19 +50,18 @@ def fingerprint_width(r_max: int, s_max: int = 0) -> int:
 
 
 def power_chain_fps(start, mult, n, count, mask):
-    """Fingerprints of start, start*mult, ... (count values, mod n).
+    """Fingerprints of start, start*mult, ... (count >= 1 values, mod n).
 
     Returns (fps, modmuls, last): one modular multiplication per step after
     the first value, and the last value, from which a chain continues.
     """
-    fps = []
+    fps = [start & mask]
     append = fps.append
     cur = start
-    for i in range(count):
+    for _ in range(count - 1):
+        cur = cur * mult % n
         append(cur & mask)
-        if i + 1 < count:
-            cur = cur * mult % n
-    return fps, max(count - 1, 0), cur
+    return fps, count - 1, cur
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +80,8 @@ class FingerprintTable:
         _check_width(w)
         self.w = w
         self.R = 0  # stored exponents: 1..R
-        self._index = {}  # fp -> exponent, or an ascending tuple of them
+        self._index = {}  # fp -> its first exponent
+        self._repeats = {}  # fp -> its later exponents, an ascending list
         # A probe counts the classes mod 30 of the exponents 1..row_bound.
         self._n_rows = min(row_bound, ROW_MODULUS)
         self.modmuls = 0
@@ -105,27 +107,26 @@ class FingerprintTable:
 
     def extend(self, fps):
         """Store fps[i] under exponent R + 1 + i."""
-        index = self._index
+        index, repeats = self._index, self._repeats
         for j, fp in enumerate(fps, self.R + 1):
-            prev = index.setdefault(fp, j)
-            if prev != j:
-                index[fp] = (prev if type(prev) is tuple else (prev,)) + (j,)
+            if index.setdefault(fp, j) != j:
+                repeats.setdefault(fp, []).append(j)
         self.R += len(fps)
 
     @property
     def nominal_bytes(self) -> int:
-        """Bytes the table holds, measured from its objects: the index plus
-        one w-bit fingerprint int and one exponent int per entry."""
-        return sys.getsizeof(self._index) + self.R * (
-            sys.getsizeof(1 << (self.w - 1)) + sys.getsizeof(self.R))
+        """Bytes the table holds, measured from its objects: both hashes,
+        the lists of repeats, and one w-bit fingerprint int and one exponent
+        int per entry."""
+        return (sys.getsizeof(self._index) + sys.getsizeof(self._repeats)
+                + sum(map(sys.getsizeof, self._repeats.values()))
+                + self.R * (sys.getsizeof(1 << (self.w - 1)) + sys.getsizeof(self.R)))
 
     def _rs(self, fp, s, gcd_filter):
-        rs = self._index.get(fp, ())
-        if type(rs) is int:
-            rs = (rs,)
+        rs = [self._index[fp], *self._repeats.get(fp, ())] if fp in self._index else []
         if gcd_filter:
             return [r for r in rs if gcd(r, s, ROW_MODULUS) == 1]
-        return list(rs)
+        return rs
 
     def _charge(self, ss, gcd_filter):
         """Count one probe at each s in the range ss and, with the filter,

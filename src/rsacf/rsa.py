@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, isfinite
 from typing import NamedTuple
 
-from .numeric import isqrt, mod_pow
+from .numeric import isqrt
 
 # Deterministic Miller-Rabin witness set, sufficient below 2^64.
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -169,11 +169,6 @@ def method1_factor(pub: PublicKey, d_cand: int, k_cand: int) -> Method1Result:
     if k_cand < 1:
         raise ValueError("k_cand must be >= 1")
     return method1_try(pub.n, pub.e, d_cand, k_cand)
-
-
-def method2_check(pub: PublicKey, d_cand: int) -> bool:
-    """Congruence test (2^e)^d == 2 (mod n)."""
-    return mod_pow(mod_pow(2, pub.e, pub.n), d_cand, pub.n) == 2
 
 
 def write_key(path, pub: PublicKey, priv: PrivateKey | None = None) -> None:

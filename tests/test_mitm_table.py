@@ -1,6 +1,7 @@
 """Unit tests for the fingerprint table used by the meet-in-the-middle search."""
 
 import random
+import time
 import tracemalloc
 from math import gcd
 
@@ -70,15 +71,18 @@ class TestBuild:
             assert fp == pow(3, r, N) & ((1 << 40) - 1)
 
     def test_nominal_bytes_matches_held_memory(self):
+        # At w = 16 most of the 2^14 fingerprints repeat, so the lists of
+        # repeats hold a share of the bytes.
         R = 1 << 14
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            table = FingerprintTable.build(3, N, R, w=36)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert abs(table.nominal_bytes - held) <= held / 10
+        for w in (36, 16):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                table = FingerprintTable.build(3, N, R, w=w)
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert abs(table.nominal_bytes - held) <= held / 10
 
 
 class TestProbe:
@@ -124,6 +128,19 @@ class TestProbe:
         fps = [fingerprint(x, w) for x in targets]
         assert table.probe_fp(fps, gcd_filter) == expected
         assert len(expected) > 100
+
+    def test_equal_fingerprints_cost_linear_time(self):
+        # Each repeat of a fingerprint is appended in place, so 2^16 equal
+        # fingerprints, as the constant stream at anchor -1 gives, take
+        # milliseconds; copying the exponents per repeat would take seconds.
+        count = 1 << 16
+        table = FingerprintTable(32)
+        t0 = time.perf_counter()
+        table.extend([2] * count)
+        hits = table.probe(2)
+        elapsed = time.perf_counter() - t0
+        assert hits == list(range(1, count + 1))
+        assert elapsed < 1
 
     def test_counters(self):
         # Without the gcd filter a probe visits no row classes.

@@ -15,7 +15,6 @@ from rsacf import (
     isqrt,
     keygen_weak,
     method1_factor,
-    method2_check,
     read_key,
     write_key,
 )
@@ -71,17 +70,6 @@ class TestMethod1:
         if res.ok:
             assert res.p * res.q == TOY.n
             assert (d * TOY.e - 1) % k == 0
-
-
-class TestMethod2:
-    def test_toy_key(self):
-        assert method2_check(TOY, 5)
-        assert not method2_check(TOY, 7)
-
-    def test_agrees_with_method1_on_accepts(self):
-        pub, priv = keygen_weak(64, 2, 42)
-        assert method1_factor(pub, priv.d, (priv.d * pub.e - 1) // priv.phi).ok
-        assert method2_check(pub, priv.d)
 
 
 class TestKeygenWeak:
