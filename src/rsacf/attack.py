@@ -5,26 +5,32 @@ to a table build. The exhaustive engine doubles as the testing oracle for
 the meet-in-the-middle one.
 """
 
+import sys
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from math import ceil, gcd, isfinite
 
 from . import contfrac
-from .mitm_table import FingerprintTable, fingerprint_width, power_chain_fps
+from .mitm_table import MAX_WIDTH, ROW_MODULUS, FingerprintTable, power_chain_fps
 from .numeric import isqrt, mod_inv, mod_pow
 from .rsa import PublicKey, method1_factor, method1_try
 
 VARIANTS = ("wiener", "vvt", "mitm")
 BOUND_MODES = ("explicit", "fixed4d", "quotient")
 APPROX_MODES = ("plain", "improved")
-# Largest r_max or s_max of a mitm window. At the cap, an exhausted window's
-# indexes peak when its last r segment is looked up: the index of r and each
-# stream's index then hold 2^21 entries, at about 96 B an entry
-# (FingerprintTable.nominal_bytes, within 1% of the tracemalloc-held bytes
-# at 2^14), about 0.2 GiB each. The streams' indexes are then let go and the
-# index of r grows to 2^22 entries, 0.4 GiB. The chain segment being matched
-# adds about 40 B a value, so a window at the cap stays under about 1 GiB.
+# Largest r_max or s_max of a mitm window. An index entry holds about 100 B
+# at 64-bit fingerprints (FingerprintTable.nominal_bytes, within 1% of the
+# tracemalloc-held bytes at 2^14 entries), a fingerprint in a chain segment
+# about 44 B and one kept in a plain array 8 B. At the cap a search peaks in
+# one of two places. An anchor whose s side grows until its last stage, with
+# the minus form, ends with both r streams indexed to 2^22 entries, 0.8 GiB,
+# while the last s segment, 2^21 values, is matched. A later anchor whose s
+# side is shared holds that index of 2^22 entries, 0.4 GiB, the kept plus
+# stream's first 2^21 fingerprints and the r segments being matched, under
+# 0.6 GiB. Either way a search at the cap stays under about 1 GiB.
 MITM_MAX_BOUND = 1 << 22
 # Bound of a mitm window's first stage, on each side; each later stage
 # doubles it. A stage costs some microseconds of Python besides its chain
@@ -67,6 +73,15 @@ class AttackConfig:
 
 @dataclass
 class Stats:
+    """Counters of one attack.
+
+    modmuls counts modular multiplications: one per chain step, and a
+    mod_pow with exponent x as square-and-multiply does it,
+    x.bit_length() - 1 squares and popcount(x) - 1 multiplies. A mod_inv,
+    an extended Euclid rather than a chain of products, is charged as one;
+    at 128 to 1024 bits it takes about the time of 30 to 50.
+    """
+
     modmuls: int = 0
     probes: int = 0
     collisions: int = 0
@@ -165,10 +180,13 @@ def _bounds_for(cfg, cf, m):
 def _anchor_search(pub, cfg, window):
     """The loop every engine shares: the Wiener pass over the target's
     convergents, then per anchor index m window(pub, cfg, p0, q0, p1, q1,
-    r_max, s_max, stats), which searches the (r, s) window around
-    convergents m and m + 1, bar the corners r = 1, s = 0 and r = 0, s = 1
-    that the Wiener pass tried, and returns an AttackResult or None. An
-    even n splits as 2 * (n // 2) before any search."""
+    r_max, s_max, stats, shared, keep), which searches the (r, s) window
+    around convergents m and m + 1, bar the corners r = 1, s = 0 and
+    r = 0, s = 1 that the Wiener pass tried, and returns (an AttackResult
+    or None, shared). When anchor m + 1 is searched next, keep is its
+    s_max, and the shared that window m returns, or None, is handed to it;
+    otherwise keep is 0 and the next window gets None. An even n splits as
+    2 * (n // 2) before any search."""
     cfg.validate()
     stats = Stats()
     t0 = time.perf_counter()
@@ -180,12 +198,21 @@ def _anchor_search(pub, cfg, window):
         result = _first_recovered(pub, cf.convergents, stats)
         if result is not None:
             return result
-        for m in _m_candidates(cf, target, bound, cfg):
+        ms = _m_candidates(cf, target, bound, cfg)
+        shared = None
+        for i, m in enumerate(ms):
             stats.m_tried += 1
             p0, q0 = cf.convergent(m)
             p1, q1 = cf.convergent(m + 1)
             r_max, s_max = _bounds_for(cfg, cf, m)
-            result = window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats)
+            keep = 0
+            if ms[i + 1:i + 2] == [m + 1]:
+                try:
+                    keep = _bounds_for(cfg, cf, m + 1)[1]
+                except ValueError:
+                    pass  # raised again when anchor m + 1 is reached
+            result, shared = window(
+                pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep)
             if result is not None:
                 return result
         return AttackResult("exhausted", stats=stats)
@@ -228,7 +255,7 @@ def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
     return None, trials
 
 
-def _scan_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
+def _scan_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
     if r_max * s_max > VVT_MAX_PAIRS:
         raise ValueError(f"vvt bounds ({r_max}, {s_max}) exceed the cap of"
                          f" {VVT_MAX_PAIRS} pairs")
@@ -236,8 +263,8 @@ def _scan_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
         pub.n, pub.e, p0, q0, p1, q1, r_max, s_max, cfg.probe_minus_form)
     stats.method1_trials += trials
     if hit is None:
-        return None
-    return AttackResult("recovered", *hit, stats)
+        return None, None
+    return AttackResult("recovered", *hit, stats), None
 
 
 def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
@@ -246,81 +273,166 @@ def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
     return run_attack(pub, replace(cfg, variant="vvt"))
 
 
-def _note_indexes(stats, r_index, s_indexes):
-    """Note the bytes a window's indexes hold together in stats.table_bytes,
-    a peak, and charge the probes of the streams' indexes, whose lookups are
-    done."""
-    held = r_index.nominal_bytes
-    for s_index in s_indexes:
-        stats.probes += s_index.probes
-        held += s_index.nominal_bytes
-    stats.table_bytes = max(stats.table_bytes, held)
+def _pow(base, exp, n, stats):
+    """mod_pow, charged to stats.modmuls as square-and-multiply."""
+    stats.modmuls += max(exp.bit_length() + exp.bit_count() - 2, 0)
+    return mod_pow(base, exp, n)
 
 
-def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
-    """Meet-in-the-middle search for a^r == 2*b^s (mod n), in stages.
+def _inv(a, n, stats):
+    """mod_inv, charged to stats.modmuls as one multiplication."""
+    stats.modmuls += 1
+    return mod_inv(a, n)
+
+
+class _Side:
+    """The chain const * mult^j, j = 1, 2, ..., of one side of a mitm window,
+    and the fingerprints it keeps: those of the exponents 1..index.R in its
+    index, those of the next ones up to top in pending, a plain array of
+    64-bit words (8 B a fingerprint, not the 56 B of a list of ints) that
+    the next anchor indexes."""
+
+    def __init__(self, const, mult, row_bound=0):
+        self.const, self.mult = const, mult
+        self.last, self.top = const, 0  # const * mult^top
+        self.index = FingerprintTable(MAX_WIDTH, row_bound)
+        self.pending = array("Q")
+
+    def grow(self, end, n, stats):
+        """Fingerprints of the exponents top + 1..end, in order."""
+        if self.top or self.const != 1:
+            start = self.last * self.mult % n
+            stats.modmuls += 1
+        else:
+            start = self.mult
+        fps, modmuls, self.last = power_chain_fps(
+            start, self.mult, n, end - self.top, (1 << MAX_WIDTH) - 1)
+        stats.modmuls += modmuls
+        self.top = end
+        return fps
+
+    @property
+    def nominal_bytes(self) -> int:
+        """Bytes the index and the pending array hold."""
+        return self.index.nominal_bytes + sys.getsizeof(self.pending)
+
+
+def _drop_index(stats, side):
+    """Charge the probes and rows of side's index to stats and let it go."""
+    stats.probes += side.index.probes
+    stats.rows_examined += side.index.rows_examined
+    stats.rows_skipped += side.index.rows_skipped
+    side.index = None
+
+
+def _note(stats, sides):
+    """Note the bytes the sides hold together in stats.table_bytes, a peak."""
+    stats.table_bytes = max(stats.table_bytes, sum(side.nominal_bytes for side in sides))
+
+
+def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
+    """Meet-in-the-middle search of anchor m, in stages.
+
+    With A_j = 2^(e*q_{j+1}) mod n, anchor m solves A_m^r * A_{m-1}^s == 2
+    (the plus form, d = r*q1 + s*q0) or A_m^r * A_{m-1}^-s == 2 (the minus
+    form, d = r*q1 - s*q0). Its s side is the chain 2*A_{m-1}^-s or
+    A_{m-1}^s; against it the plus form puts the r stream a^r or 2*a^-r,
+    with a = A_m, and the minus form 4*a^-r or a^r/2. The recursion
+    q_{m+1} = a_{m+1}*q_m + q_{m-1} gives A_m = A_{m-1}^(a_{m+1}) * A_{m-2},
+    and the plus stream a^r (2*a^-r) of anchor m is the s side A_m^s
+    (2*A_m^-s) of anchor m + 1. So when keep, the s_max of anchor m + 1, is
+    not 0, an exhausted window returns (None, shared): the plus stream,
+    with at least its first min(r_max, keep) fingerprints stored, and what
+    the recursion needs. Given shared, a window costs one small power and
+    one chain per stream, not two large powers and two chains.
 
     A stage with bound B covers r <= min(B, r_max) and s <= min(B, s_max);
     B starts at MITM_FIRST_STAGE and doubles until both bounds are reached.
-    The chain of a^r and each probe stream of 2*b^s (and of 2*bq^s with the
-    minus form) continue from stage to stage, and each side keeps a
-    FingerprintTable from fingerprint to exponent. A stage looks its new r
-    segment up in the stream indexes, which hold the earlier stages' s, then
-    each new s segment up in the r index, which holds every r up to the
-    stage's bound, so each (r, s, sign) of the window is matched exactly
-    once. A segment is stored, and an index kept, only while a later lookup
-    will use it. Hits are tried in (stage, s, sign, r) order, and the window
-    stops at the first recovery: a key costs about max(r, s) modular
-    multiplications at its anchor, and an exhausted window r_max - 1 plus
-    s_max per stream, as many as one full table and one full stream per sign.
+    A stage looks the r streams' new segments up in the s side's index,
+    which holds every s it has, then the s side's new segment, if it still
+    grows, up in each stream's index, which holds every r up to the stage's
+    bound, so each (r, s, sign) of the window is matched exactly once; a
+    shared s side stored past s_max yields no hit beyond it. A segment is
+    stored while a later lookup will use it, and the plus stream's up to
+    keep also, in a plain array once no lookup of this anchor uses it.
+    Hits are tried in (stage, s, sign, r) order, and the window stops at the
+    first recovery: a key costs about max(r, s) modular multiplications at
+    its anchor, or about r given shared, and an exhausted window r_max per
+    stream plus s_max, or plus what s_max asks past the shared side.
+
+    At anchor -1, q0 = 0: A_{-2} = 1, the s side is the constant 2 and the
+    congruence is a^r == 2 whatever s is. That window builds and indexes
+    only a^r, looks 2 up in it once per stage, and tries each match with
+    every s of the stage in the same order.
     """
     if max(r_max, s_max) > MITM_MAX_BOUND:
         raise ValueError(f"mitm bounds ({r_max}, {s_max}) exceed the cap of"
                          f" {MITM_MAX_BOUND} per side")
     n, e = pub.n, pub.e
-    # n is odd, so the powers of 2 are units and invertible.
-    a = mod_pow(2, e * q1, n)
-    bq = mod_pow(2, e * q0, n)
-    b = mod_inv(bq, n)
-    w = fingerprint_width(r_max, s_max)
-    mask = (1 << w) - 1
-    # Probe streams: plus form a^r == 2*b^s, minus form a^r == 2*bq^s.
-    bases = (b, bq) if cfg.probe_minus_form else (b,)
-    r_index = FingerprintTable(w, r_max)
-    s_indexes = [FingerprintTable(w) for _ in bases]
-    # Each chain continues from its last value, a^r_top or 2*base^s_top.
-    r_last, s_lasts = None, [2] * len(bases)
+    if shared is None:
+        # n is odd, so the powers of 2 are units and invertible.
+        a_prev, a = _pow(2, e * q0, n, stats), _pow(2, e * q1, n, stats)
+        s_side = _Side(2, _inv(a_prev, n, stats)) if q0 else None
+    else:
+        s_side, q_prev, a_prev2, a_prev = shared
+        a = _pow(a_prev, (q1 - q_prev) // q0, n, stats) * a_prev2 % n
+        stats.modmuls += 1
+        s_side.index.extend(s_side.pending)
+        s_side.pending = array("Q")
+        s_side.index.row_bound = 0  # r is looked up in it now
+    halved = s_side is not None and s_side.const == 1  # the s side is A_{m-1}^s
+    minus_stream = cfg.probe_minus_form and q0 != 0
+    a_inv = _inv(a, n, stats) if halved or minus_stream else None
+    forms = [(2, a_inv) if halved else (1, a)]
+    if minus_stream:
+        forms.append(((n + 1) // 2, a) if halved else (4, a_inv))
+    streams = [_Side(const, mult, r_max) for const, mult in forms]
+    plus = streams[0]
+    signs = (0, 1) if cfg.probe_minus_form else (0,)
+    rs = []  # at anchor -1, the r whose a^r matches 2
+    handed = None
     bound, r_top, s_top = MITM_FIRST_STAGE, 0, 0  # bounds of the stages done
     try:
         while r_top < r_max or s_top < s_max:
             r_end, s_end = min(bound, r_max), min(bound, s_max)
             hits = []
-            # A segment is freed once matched, before the next is made.
-            if r_top < r_end:
-                start = r_last * a % n if r_top else a
-                fps, modmuls, r_last = power_chain_fps(start, a, n, r_end - r_top, mask)
-                stats.modmuls += modmuls + (r_top > 0)
-                if s_top:
-                    hits += [(s, sign, r) for sign, s_index in enumerate(s_indexes)
-                             for r, s in s_index.probe_fp(fps, cfg.gcd_rows, r_top + 1)]
-                if r_end == r_max:
-                    # No later r is looked up in the streams' indexes: let
-                    # them go before the index of r grows for the last time.
-                    _note_indexes(stats, r_index, s_indexes)
-                    s_indexes = []
-                if s_top < s_max:
-                    r_index.extend(fps)
-                del fps
-            if s_top < s_end:
-                for sign, base in enumerate(bases):
-                    fps, modmuls, s_lasts[sign] = power_chain_fps(
-                        s_lasts[sign] * base % n, base, n, s_end - s_top, mask)
-                    stats.modmuls += modmuls + 1
-                    hits += [(s, sign, r) for s, r
-                             in r_index.probe_fp(fps, cfg.gcd_rows, s_top + 1)]
+            if s_side is None:
+                if r_top < r_end:
+                    plus.index.extend(plus.grow(r_end, n, stats))
+                    rs = plus.index.probe(2)
+                hits = [(s, sign, r) for r in rs
+                        for s in range(1 if r > r_top else s_top + 1, s_end + 1)
+                        if not (cfg.gcd_rows and gcd(r, s, ROW_MODULUS) > 1)
+                        for sign in signs]
+            else:
+                # A segment is freed once matched, before the next is made.
+                if r_top < r_end:
+                    segments = [stream.grow(r_end, n, stats) for stream in streams]
+                    if s_side.top:
+                        for sign, fps in enumerate(segments):
+                            hits += [(s, sign, r) for r, s in s_side.index.probe_fp(
+                                fps, cfg.gcd_rows, r_top + 1) if s <= s_max]
+                    if r_end == r_max:
+                        # No later r is looked up in the s side: let its
+                        # index go before the streams grow for the last time.
+                        _note(stats, [s_side, *streams])
+                        _drop_index(stats, s_side)
+                    for stream, fps in zip(streams, segments):
+                        if s_side.top < s_max:
+                            stream.index.extend(fps)
+                        elif stream is plus and r_top < keep:
+                            stream.pending.extend(islice(fps, keep - r_top))
+                    del segments, fps
+                if s_side.top < s_end:
+                    first = s_side.top + 1
+                    fps = s_side.grow(s_end, n, stats)
+                    for sign, stream in enumerate(streams):
+                        hits += [(s, sign, r) for s, r
+                                 in stream.index.probe_fp(fps, cfg.gcd_rows, first)]
                     if r_end < r_max:
-                        s_indexes[sign].extend(fps)
+                        s_side.index.extend(fps)
                     del fps
+                s_end = s_side.top  # past s_max when a shared side holds more
             r_top, s_top, bound = r_end, s_end, 2 * bound
             # Sign 0 (d = r*q1 + s*q0) before sign 1 (d = r*q1 - s*q0);
             # every hit that does not recover collides.
@@ -331,14 +443,18 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
             result = _first_recovered(pub, pairs, stats)
             if result is not None:
                 stats.collisions += pairs.index((result.k, result.d))
-                return result
+                return result, None
             stats.collisions += len(pairs)
-        return None
+        if keep:
+            handed = plus, q0, a_prev, a
+        return None, handed
     finally:
-        _note_indexes(stats, r_index, s_indexes)
-        stats.probes += r_index.probes
-        stats.rows_examined += r_index.rows_examined
-        stats.rows_skipped += r_index.rows_skipped
+        sides = [side for side in (s_side, *streams)
+                 if side is not None and side.index is not None]
+        _note(stats, sides)
+        for side in sides:
+            if handed is None or side is not plus:
+                _drop_index(stats, side)
 
 
 _WINDOWS = {"vvt": _scan_window, "mitm": _mitm_window}

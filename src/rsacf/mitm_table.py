@@ -5,9 +5,10 @@ plus the exponent j, and grows by segments of consecutive exponents. One
 hash maps each fingerprint to its first exponent; a side hash maps a
 repeated fingerprint to a list of its later exponents, appended in place,
 so each repeat costs O(1). The mitm window (attack._mitm_window)
-keeps one index over a^r and one per probe stream 2*b^s, grows both sides
-stage by stage, and looks each new segment up in bulk in the other side's
-index, one call per segment.
+keeps one index over its s side and one per r stream, all at MAX_WIDTH so
+that an index can serve the next anchor whatever its bounds, grows both
+sides stage by stage, and looks each new segment up in bulk in the other
+side's index, one call per segment.
 
 With the gcd filter a hit (s, r) is kept only when gcd(r, s, 30) = 1: no
 prime of 2*3*5 divides both, so no coprime pair is lost. The filter costs
@@ -82,8 +83,9 @@ class FingerprintTable:
         self.R = 0  # stored exponents: 1..R
         self._index = {}  # fp -> its first exponent
         self._repeats = {}  # fp -> its later exponents, an ascending list
-        # A probe counts the classes mod 30 of the exponents 1..row_bound.
-        self._n_rows = min(row_bound, ROW_MODULUS)
+        # A probe counts the classes mod 30 of the exponents 1..row_bound;
+        # 0 counts none. The owner may change it between probes.
+        self.row_bound = row_bound
         self.modmuls = 0
         self.probes = 0
         self.rows_examined = 0
@@ -132,11 +134,12 @@ class FingerprintTable:
         """Count one probe at each s in the range ss and, with the filter,
         the row classes it admits (examined) and rules out (skipped)."""
         self.probes += len(ss)
-        if gcd_filter and self._n_rows:
-            admitted = _admitted_rows(self._n_rows)
+        n_rows = min(self.row_bound, ROW_MODULUS)
+        if gcd_filter and n_rows:
+            admitted = _admitted_rows(n_rows)
             examined = sum(admitted[s % ROW_MODULUS] for s in ss)
             self.rows_examined += examined
-            self.rows_skipped += len(ss) * self._n_rows - examined
+            self.rows_skipped += len(ss) * n_rows - examined
 
     def probe_fp(self, fps, gcd_filter: bool = False, first: int = 1) -> list:
         """(s, r) for every stored r whose fingerprint equals fps[s - first],

@@ -39,16 +39,39 @@ def _key(primes, d):
 
 
 def _record_windows(monkeypatch):
-    """Record (p0, q0, p1, q1, r_max, s_max) of every mitm window run."""
+    """Record (p0, q0, p1, q1, r_max, s_max) of every mitm window run, and
+    check that a window is handed the previous one's side exactly when
+    its anchor follows that one's."""
     windows = []
     window = attack._WINDOWS["mitm"]
 
-    def record(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats):
+    def record(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
+        follows = bool(windows) and windows[-1][2:4] == (p0, q0)
+        assert (shared is not None) == follows
         windows.append((p0, q0, p1, q1, r_max, s_max))
-        return window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats)
+        return window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep)
 
     monkeypatch.setitem(attack._WINDOWS, "mitm", record)
     return windows
+
+
+def _record_indexes(monkeypatch):
+    """Every FingerprintTable the attack makes, kept alive, in order."""
+    indexes = []
+
+    class Kept(attack.FingerprintTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            indexes.append(self)
+
+    monkeypatch.setattr(attack, "FingerprintTable", Kept)
+    return indexes
+
+
+def _pow_cost(exp):
+    """Multiplications of a square-and-multiply power: one square per bit
+    after the first and one multiply per set bit after the first."""
+    return max(exp.bit_length() + bin(exp).count("1") - 2, 0)
 
 
 class TestApproximationTarget:
@@ -286,17 +309,19 @@ class TestMitmAttack:
         assert 0 < recovered < 3 * len(keys)
 
     def test_anchor_minus_one_window_is_linear(self):
-        # The constant stream at anchor -1 repeats one fingerprint S times.
-        # Each repeat is stored in O(1), so this window costs about what
-        # any other anchor's does (about 0.1 s); storing the repeats in
-        # quadratic time would take about 2 s.
+        # At anchor -1 the s side is the constant 2 and d = r, so the
+        # window builds only the chain a^r = 2^(e*r), R - 1 steps after the
+        # power 2^e, and looks 2 up in its index once per stage. It costs
+        # about what any other anchor's window does (about 0.1 s); storing
+        # the S repeats of a constant stream in quadratic time took 2 s.
         pub, _ = keygen_weak(96, 2**20, 123)
         t0 = time.perf_counter()
         res = run_attack(pub, AttackConfig(r_max=1 << 16, s_max=1 << 16,
                                            m_candidates=(-1,)))
         elapsed = time.perf_counter() - t0
         assert res.outcome == "exhausted"
-        assert res.stats.modmuls == (1 << 16) - 1 + (1 << 16)
+        assert res.stats.modmuls == (1 << 16) - 1 + _pow_cost(pub.e)
+        assert res.stats.probes == 11  # stages 64, 128, ..., 2^16
         assert elapsed < 1
 
     @pytest.mark.parametrize("d_ratio, seed, outcome, gcd_rows", [
@@ -306,13 +331,17 @@ class TestMitmAttack:
         (16, 0, "recovered", False),
     ], ids=["exhausted", "recovered", "exhausted-no-rows", "recovered-no-rows"])
     def test_probe_counters(self, monkeypatch, d_ratio, seed, outcome, gcd_rows):
-        # Per anchor, each stage looks its new r up in the index of each
-        # stream's earlier s (empty at the first stage), and the new s of
-        # both streams up in the index of r. A window stops after the stage
-        # that recovers, the first whose bound covers the key's (r, s). With
-        # the filter a lookup at s visits the 30 classes of r mod 30 and
-        # skips a class c when gcd(c, s, 30) > 1; a lookup of r counts no
-        # classes, and without the filter there are none to count.
+        # Three consecutive anchors. At the first, each stage looks the new
+        # r of both streams (plus and minus form) up in the index of the s
+        # side's earlier s (empty at the first stage), then the new s up in
+        # both streams' indexes. Each later anchor's s side is the plus
+        # stream of the one before, stored up to R = S, so it never grows:
+        # a stage only looks the new r of both streams up in it. A window
+        # stops after the stage that recovers, the first whose bound covers
+        # the key's (r, s), or its r alone at a later anchor. With the
+        # filter a lookup at s visits the 30 classes of r mod 30 and skips a
+        # class c when gcd(c, s, 30) > 1; a lookup of r counts no classes,
+        # and without the filter there are none to count.
         pub, _ = keygen_weak(96, d_ratio, seed)
         assert wiener_classic(pub).outcome == "exhausted"
         monkeypatch.setattr(attack, "MITM_FIRST_STAGE", 16)  # stages 16, 32, 64
@@ -322,6 +351,7 @@ class TestMitmAttack:
             variant="mitm", r_max=R, s_max=S, gcd_rows=gcd_rows,
             probe_minus_form=True))
         assert res.outcome == outcome
+        assert len(windows) == 3 or res.recovered
         tops = [R] * len(windows)  # the bound of each window's last stage
         if res.recovered:
             p0, q0, p1, q1 = windows[-1][:4]
@@ -330,20 +360,20 @@ class TestMitmAttack:
             r, t = (res.d * p0 - res.k * q0) // det, (res.k * q1 - res.d * p1) // det
             assert (r * q1 + t * q0, r * p1 + t * p0) == (res.d, res.k)
             top = attack.MITM_FIRST_STAGE
-            while top < max(r, abs(t)):
+            while top < (max(r, abs(t)) if len(windows) == 1 else r):
                 top *= 2
             assert top < R  # the window stops before its bounds
             tops[-1] = top
         first = attack.MITM_FIRST_STAGE
         examined = skipped = 0
-        for top in tops:
-            for s in range(1, top + 1):
-                admitted = sum(1 for c in range(30) if gcd(c, s, 30) == 1)
-                examined += 2 * admitted
-                skipped += 2 * (30 - admitted)
+        for s in range(1, tops[0] + 1):
+            admitted = sum(1 for c in range(30) if gcd(c, s, 30) == 1)
+            examined += 2 * admitted
+            skipped += 2 * (30 - admitted)
         if not gcd_rows:
             examined = skipped = 0
-        assert res.stats.probes == sum(2 * top + 2 * (top - first) for top in tops)
+        probes = 2 * tops[0] + 2 * (tops[0] - first) + sum(2 * top for top in tops[1:])
+        assert res.stats.probes == probes
         assert res.stats.rows_examined == examined
         assert res.stats.rows_skipped == skipped
 
@@ -352,10 +382,16 @@ class TestMitmAttack:
     def test_each_match_tried_once(self, monkeypatch, minus_form, gcd_rows):
         # 16-bit fingerprints over 300 x 300 pairs match by accident a few
         # times per anchor. Whatever stage finds a match, the window must
-        # try each (r, s, sign) whose fingerprints match exactly once, and
-        # its chains must cost what one full table and one full stream
-        # per sign cost.
-        monkeypatch.setattr(attack, "fingerprint_width", lambda r_max, s_max=0: 16)
+        # try each (r, s, sign) whose fingerprints match exactly once. With
+        # A_j = 2^(e*q_{j+1}), a = A_m and b = A_{m-1}, anchors m', m'+2
+        # match the s side 2*b^-s against a^r (plus form) and 4*a^-r (minus
+        # form), and anchor m'+1 matches b^s against 2*a^-r and a^r/2; the
+        # s side of each later anchor is the plus stream of the one before.
+        # So the chains cost one stream per sign at each anchor and one s
+        # side at the first, plus the powers: 2^(e*q) twice at the first
+        # anchor, one power to the partial quotient and a product at each
+        # later one, and one modular inverse per form a^-r or b^-s.
+        monkeypatch.setattr(attack, "MAX_WIDTH", 16)
         windows = _record_windows(monkeypatch)
         pub, _ = keygen_weak(96, 2**20, 123)
         n, e = pub.n, pub.e
@@ -364,18 +400,28 @@ class TestMitmAttack:
             variant="mitm", r_max=R, s_max=S, gcd_rows=gcd_rows,
             probe_minus_form=minus_form))
         assert res.outcome == "exhausted"
-        matches = 0
-        for p0, q0, p1, q1, _, _ in windows:
-            a, bq = pow(2, e * q1, n), pow(2, e * q0, n)
-            rs_of = {}
-            for r in range(1, R + 1):
-                rs_of.setdefault(pow(a, r, n) & 0xFFFF, []).append(r)
-            for base in (pow(bq, -1, n), bq)[:1 + minus_form]:
-                for s in range(1, S + 1):
-                    for r in rs_of.get(2 * pow(base, s, n) % n & 0xFFFF, ()):
+        assert len(windows) == 3
+        matches = modmuls = 0
+        for i, (p0, q0, p1, q1, _, _) in enumerate(windows):
+            a, b = pow(2, e * q1, n), pow(2, e * q0, n)
+            halved = i % 2  # the s side is b^s
+            if i == 0:
+                modmuls += _pow_cost(e * q0) + _pow_cost(e * q1) + 1 + S
+            else:
+                modmuls += _pow_cost((q1 - windows[i - 1][1]) // q0) + 1
+            modmuls += R - 1 + halved + minus_form * R + (halved or minus_form)
+            side = ((b, 1) if halved else (pow(b, -1, n), 2))
+            forms = [(pow(a, -1, n), 2) if halved else (a, 1),
+                     (a, pow(2, -1, n)) if halved else (pow(a, -1, n), 4)]
+            ss_of = {}
+            for s in range(1, S + 1):
+                ss_of.setdefault(side[1] * pow(side[0], s, n) % n & 0xFFFF, []).append(s)
+            for base, const in forms[:1 + minus_form]:
+                for r in range(1, R + 1):
+                    for s in ss_of.get(const * pow(base, r, n) % n & 0xFFFF, ()):
                         matches += not gcd_rows or gcd(r, s, 30) == 1
         assert res.stats.collisions == matches > 0
-        assert res.stats.modmuls == len(windows) * (R - 1 + (1 + minus_form) * S)
+        assert res.stats.modmuls == modmuls
 
     @pytest.mark.parametrize("R, S, r_stored, s_stored", [
         (300, 300, 300, 256),  # the last stage's s segment is not stored
@@ -384,22 +430,34 @@ class TestMitmAttack:
     ])
     def test_indexes_hold_what_later_lookups_use(self, monkeypatch, R, S,
                                                  r_stored, s_stored):
-        # Stages 64, 128, 256, ...: a segment is stored only when a later
-        # stage looks it up from the other side.
-        indexes = []
-
-        class Kept(attack.FingerprintTable):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                indexes.append(self)
-
-        monkeypatch.setattr(attack, "FingerprintTable", Kept)
+        # Stages 64, 128, 256, ...: at a lone anchor a segment is stored
+        # only when a later stage looks it up from the other side.
+        indexes = _record_indexes(monkeypatch)
         pub, _ = keygen_weak(96, 2**20, 123)
         res = run_attack(pub, AttackConfig(variant="mitm", r_max=R, s_max=S,
                                            m_candidates=(anchor_index(pub),)))
         assert res.outcome == "exhausted"
-        r_index, s_index = indexes  # made in this order
+        s_index, r_index = indexes  # made in this order
         assert (r_index.R, s_index.R) == (r_stored, s_stored)
+
+    @pytest.mark.parametrize("R, S, shared_stored, s_stored, next_r_stored", [
+        (300, 300, 300, 256, 0),  # the next s side covers its S and never
+        (300, 100, 128, 100, 0),  # grows, though it holds no r past 128
+        (50, 300, 50, 0, 50),     # it grows past 50, so the next r is stored
+    ])
+    def test_kept_stream_holds_what_the_next_anchor_uses(
+            self, monkeypatch, R, S, shared_stored, s_stored, next_r_stored):
+        # Two consecutive anchors: the first keeps its plus stream as the
+        # second's s side, stored up to that anchor's S at least, besides
+        # what its own lookups stored.
+        indexes = _record_indexes(monkeypatch)
+        pub, _ = keygen_weak(96, 2**20, 123)
+        m = anchor_index(pub)
+        res = run_attack(pub, AttackConfig(variant="mitm", r_max=R, s_max=S,
+                                           m_candidates=(m, m + 1)))
+        assert res.outcome == "exhausted"
+        s_index, shared, next_r = indexes  # made in this order
+        assert (shared.R, s_index.R, next_r.R) == (shared_stored, s_stored, next_r_stored)
 
     @pytest.mark.parametrize("first_stage", [1, 4])
     def test_stages_agree_with_oracle(self, monkeypatch, first_stage):
@@ -417,15 +475,48 @@ class TestMitmAttack:
                 variant="mitm", r_max=16, s_max=12, **flags))
             assert (mitm.outcome, mitm.d, mitm.k) == (oracle.outcome, oracle.d, oracle.k)
 
-    def test_recovered_key_costs_its_own_rs(self):
+    def test_recovered_key_costs_its_own_rs(self, monkeypatch):
         # A 1024-bit key whose (r, s) lies within the first stage of its
         # first anchor: the window stops there, long before the 2^15 chain
-        # steps of a full table and stream at R = S = 2^14.
+        # steps of a full table and stream at R = S = 2^14. Besides the
+        # chains it pays the two powers 2^(e*q) and one inverse.
+        windows = _record_windows(monkeypatch)
         pub, priv = keygen_weak(1024, 4, 0)
         res = run_attack(pub, AttackConfig(variant="mitm", r_max=1 << 14, s_max=1 << 14))
         assert res.recovered and res.d == priv.d
         assert res.stats.m_tried == 1
-        assert res.stats.modmuls < 1 << 9
+        (_, q0, _, q1, _, _), = windows
+        powers = _pow_cost(pub.e * q0) + _pow_cost(pub.e * q1) + 1
+        assert res.stats.modmuls - powers < 1 << 9
+
+    @pytest.mark.parametrize("bounds, key_ratio, seed, m_tried", [
+        ({"bound_mode": "quotient", "d_ratio": 0.5}, 16, 622, 2),
+        ({"bound_mode": "quotient", "d_ratio": 0.5}, 64, 528, 3),
+        ({"r_max": 16, "s_max": 4}, 8, 56, 2),
+        ({"r_max": 16, "s_max": 4}, 16, 103, 3),
+    ], ids=["quotient-m+1", "quotient-m+2", "explicit-m+1", "explicit-m+2"])
+    def test_keys_found_through_a_shared_side(self, monkeypatch, bounds, key_ratio,
+                                              seed, m_tried):
+        # Keys beyond the first anchor, found at m'+1 or m'+2 with the s
+        # side the anchor before handed on. Quotient bounds differ from
+        # anchor to anchor and always have r_max(m) <= s_max(m + 1), so the
+        # shared side grows further there, and these keys' s lies past
+        # r_max(m). With explicit bounds R > S it is stored past the next
+        # anchor's S, which yields no hit beyond S.
+        windows = _record_windows(monkeypatch)
+        pub, priv = keygen_weak(96, key_ratio, seed)
+        cfg = AttackConfig(approx="improved", **bounds)
+        oracle, mitm = vvt_exhaustive(pub, cfg), run_attack(pub, cfg)
+        assert mitm.recovered and mitm.d == priv.d
+        assert (mitm.outcome, mitm.d, mitm.k) == (oracle.outcome, oracle.d, oracle.k)
+        assert mitm.stats.m_tried == oracle.stats.m_tried == m_tried
+        (r_prev, _), (_, s_max) = (w[4:] for w in windows[-2:])
+        p0, q0, p1, q1 = windows[-1][:4]
+        s = (q1 * mitm.k - p1 * mitm.d) * (q1 * p0 - q0 * p1)
+        if "r_max" in bounds:
+            assert r_prev > s_max
+        else:
+            assert r_prev < s <= s_max
 
     def test_minus_form_matches_oracle(self):
         for seed in MINUS_ONLY_SEEDS:

@@ -88,31 +88,47 @@ def test_traced_cli_mitm_attack_matches_untraced(tmp_path, monkeypatch):
     plain, traced, totals = _trace(mods, call)
     assert traced == plain
     assert totals.counts["kernel.power_chain_fps.modmuls"] > 0
-    # The figure --stats reports as table_bytes is what the window's indexes
-    # hold together at their peak, measured here under tracemalloc. With
-    # r_max > s_max both indexes reach their final size, 2^10 entries, before
-    # the streams' index is let go, so kept alive they hold that peak.
+    # The figure --stats reports as table_bytes is what the search's indexes
+    # hold together at their peak, measured here under tracemalloc.
     pub, _ = rsa.keygen_weak(96, 2**20, 123)
+    m = attack.anchor_index(pub)
     indexes = []
 
     class Kept(mods["rsacf.mitm_table"].FingerprintTable):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            indexes.append(self)  # keeps the window's indexes alive
+            indexes.append(self)  # keeps the search's indexes alive
+
+    def held_by_indexes(cfg):
+        indexes.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = attack.run_attack(pub, cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.outcome == "exhausted"
+        return res.stats.table_bytes, held
 
     monkeypatch.setattr(attack, "FingerprintTable", Kept)
-    cfg = attack.AttackConfig(variant="mitm", r_max=1 << 12, s_max=1 << 10,
-                              m_candidates=(attack.anchor_index(pub),))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        res = attack.run_attack(pub, cfg)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert res.outcome == "exhausted"
+    # One anchor with r_max > s_max: the s side's index and the r stream's
+    # reach their final size, 2^10 entries, before the s side's is let go,
+    # so kept alive they hold that peak.
+    table_bytes, held = held_by_indexes(attack.AttackConfig(
+        variant="mitm", r_max=1 << 12, s_max=1 << 10, m_candidates=(m,)))
     assert [index.R for index in indexes] == [1 << 10, 1 << 10]
-    assert abs(res.stats.table_bytes - held) <= held / 10
+    assert abs(table_bytes - held) <= held / 10
+    # Two anchors: the first, at (64, 64), hands its r stream on, and the
+    # second, at (2^12, 2^10), grows that side to 2^10 entries as its s
+    # side while its own r stream reaches 2^10; the first's s side stores
+    # nothing. The peak is the shared side and the next side together.
+    bounds = {m: (64, 64), m + 1: (1 << 12, 1 << 10)}
+    monkeypatch.setattr(attack, "_bounds_for", lambda cfg, cf, m: bounds[m])
+    table_bytes, held = held_by_indexes(attack.AttackConfig(
+        variant="mitm", r_max=1, s_max=1, m_candidates=(m, m + 1)))
+    assert [index.R for index in indexes] == [0, 1 << 10, 1 << 10]
+    assert abs(table_bytes - held) <= held / 10
 
 
 def test_every_traced_name_exists():
