@@ -14,24 +14,28 @@ from itertools import islice
 from math import ceil, gcd, isfinite
 
 from . import contfrac
-from .mitm_table import MAX_WIDTH, ROW_MODULUS, FingerprintTable, power_chain_fps
+from .mitm_table import ROW_MODULUS, FingerprintTable, fingerprint_width, power_chain_fps
 from .numeric import isqrt, mod_inv, mod_pow
 from .rsa import PublicKey, method1_factor, method1_try
 
 VARIANTS = ("wiener", "vvt", "mitm")
 BOUND_MODES = ("explicit", "fixed4d", "quotient")
 APPROX_MODES = ("plain", "improved")
-# Largest r_max or s_max of a mitm window. An index entry holds about 100 B
-# at 64-bit fingerprints (FingerprintTable.nominal_bytes, within 1% of the
+# Largest r_max or s_max of a mitm window. An index entry holds about 96 B
+# at 52-bit fingerprints (FingerprintTable.nominal_bytes, within 1% of the
 # tracemalloc-held bytes at 2^14 entries), a fingerprint in a chain segment
-# about 44 B and one kept in a plain array 8 B. At the cap a search peaks in
+# about 40 B and one kept in a plain array 8 B. At the cap a search peaks in
 # one of two places. An anchor whose s side grows until its last stage, with
-# the minus form, ends with both r streams indexed to 2^22 entries, 0.8 GiB,
-# while the last s segment, 2^21 values, is matched. A later anchor whose s
-# side is shared holds that index of 2^22 entries, 0.4 GiB, the kept plus
-# stream's first 2^21 fingerprints and the r segments being matched, under
-# 0.6 GiB. Either way a search at the cap stays under about 1 GiB.
+# the minus form, ends with both r streams indexed to 2^22 entries, 0.75 GiB,
+# while the last s segment, 2^21 values, 80 MiB, is matched. A later anchor
+# whose s side is shared holds that index of 2^22 entries, 0.38 GiB, the kept
+# plus stream's first 2^21 fingerprints and the r segments being matched,
+# under 0.6 GiB. Either way a search at the cap stays under about 1 GiB.
 MITM_MAX_BOUND = 1 << 22
+# Width of every mitm index, the one the cap asks for (52 bits), so that an
+# index serves the next anchor whatever its bounds. A 52-bit int takes a 32 B
+# block of CPython's allocator; one of 64 bits, 36 B, takes a 48 B block.
+MITM_WIDTH = fingerprint_width(MITM_MAX_BOUND)
 # Bound of a mitm window's first stage, on each side; each later stage
 # doubles it. A stage costs some microseconds of Python besides its chain
 # steps, and a step on a 128-bit key about 0.2 us: bench success, whose
@@ -75,8 +79,8 @@ class AttackConfig:
 class Stats:
     """Counters of one attack.
 
-    modmuls counts modular multiplications: one per chain step, and a
-    mod_pow with exponent x as square-and-multiply does it,
+    modmuls counts modular multiplications: one per value const * mult^j of
+    a chain, and a mod_pow with exponent x as square-and-multiply does it,
     x.bit_length() - 1 squares and popcount(x) - 1 multiplies. A mod_inv,
     an extended Euclid rather than a chain of products, is charged as one;
     at 128 to 1024 bits it takes about the time of 30 to 50.
@@ -289,25 +293,21 @@ class _Side:
     """The chain const * mult^j, j = 1, 2, ..., of one side of a mitm window,
     and the fingerprints it keeps: those of the exponents 1..index.R in its
     index, those of the next ones up to top in pending, a plain array of
-    64-bit words (8 B a fingerprint, not the 56 B of a list of ints) that
+    64-bit words (8 B a fingerprint, not the 40 B of a list of ints) that
     the next anchor indexes."""
 
     def __init__(self, const, mult, row_bound=0):
         self.const, self.mult = const, mult
         self.last, self.top = const, 0  # const * mult^top
-        self.index = FingerprintTable(MAX_WIDTH, row_bound)
+        self.index = FingerprintTable(MITM_WIDTH, row_bound)
         self.pending = array("Q")
 
     def grow(self, end, n, stats):
-        """Fingerprints of the exponents top + 1..end, in order."""
-        if self.top or self.const != 1:
-            start = self.last * self.mult % n
-            stats.modmuls += 1
-        else:
-            start = self.mult
-        fps, modmuls, self.last = power_chain_fps(
-            start, self.mult, n, end - self.top, (1 << MAX_WIDTH) - 1)
-        stats.modmuls += modmuls
+        """Fingerprints of the exponents top + 1..end, in order, one modular
+        multiplication each."""
+        fps, _, self.last = power_chain_fps(
+            self.last * self.mult % n, self.mult, n, end - self.top, (1 << MITM_WIDTH) - 1)
+        stats.modmuls += end - self.top
         self.top = end
         return fps
 
@@ -333,21 +333,21 @@ def _note(stats, sides):
 def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
     """Meet-in-the-middle search of anchor m, in stages.
 
-    With A_j = 2^(e*q_{j+1}) mod n, anchor m solves A_m^r * A_{m-1}^s == 2
-    (the plus form, d = r*q1 + s*q0) or A_m^r * A_{m-1}^-s == 2 (the minus
-    form, d = r*q1 - s*q0). Its s side is the chain 2*A_{m-1}^-s or
-    A_{m-1}^s; against it the plus form puts the r stream a^r or 2*a^-r,
-    with a = A_m, and the minus form 4*a^-r or a^r/2. The recursion
-    q_{m+1} = a_{m+1}*q_m + q_{m-1} gives A_m = A_{m-1}^(a_{m+1}) * A_{m-2},
-    and the plus stream a^r (2*a^-r) of anchor m is the s side A_m^s
+    With B = 2^e mod n (base) and A_j = B^(q_{j+1}), anchor m solves
+    A_m^r * A_{m-1}^s == 2 (the plus form, d = r*q1 + s*q0) or
+    A_m^r * A_{m-1}^-s == 2 (the minus form, d = r*q1 - s*q0). Its s side is
+    the chain 2*A_{m-1}^-s or A_{m-1}^s; against it the plus form puts the
+    r stream a^r or 2*a^-r, with a = A_m, and the minus form 4*a^-r or
+    a^r/2. The plus stream a^r (2*a^-r) of anchor m is the s side A_m^s
     (2*A_m^-s) of anchor m + 1. So when keep, the s_max of anchor m + 1, is
-    not 0, an exhausted window returns (None, shared): the plus stream,
-    with at least its first min(r_max, keep) fingerprints stored, and what
-    the recursion needs. Given shared, a window costs one small power and
-    one chain per stream, not two large powers and two chains.
+    not 0, an exhausted window returns (None, (plus stream, B)), with at
+    least the stream's first min(r_max, keep) fingerprints stored. A first
+    window pays the power B and two powers of about q bits, B^(q0) and
+    B^(q1); given shared, a window pays one, a = B^(q1), and one chain per
+    stream.
 
-    A stage with bound B covers r <= min(B, r_max) and s <= min(B, s_max);
-    B starts at MITM_FIRST_STAGE and doubles until both bounds are reached.
+    A stage with bound T covers r <= min(T, r_max) and s <= min(T, s_max);
+    T starts at MITM_FIRST_STAGE and doubles until both bounds are reached.
     A stage looks the r streams' new segments up in the s side's index,
     which holds every s it has, then the s side's new segment, if it still
     grows, up in each stream's index, which holds every r up to the stage's
@@ -368,18 +368,17 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
     if max(r_max, s_max) > MITM_MAX_BOUND:
         raise ValueError(f"mitm bounds ({r_max}, {s_max}) exceed the cap of"
                          f" {MITM_MAX_BOUND} per side")
-    n, e = pub.n, pub.e
+    n = pub.n
     if shared is None:
         # n is odd, so the powers of 2 are units and invertible.
-        a_prev, a = _pow(2, e * q0, n, stats), _pow(2, e * q1, n, stats)
-        s_side = _Side(2, _inv(a_prev, n, stats)) if q0 else None
+        base = _pow(2, pub.e, n, stats)
+        s_side = _Side(2, _inv(_pow(base, q0, n, stats), n, stats)) if q0 else None
     else:
-        s_side, q_prev, a_prev2, a_prev = shared
-        a = _pow(a_prev, (q1 - q_prev) // q0, n, stats) * a_prev2 % n
-        stats.modmuls += 1
+        s_side, base = shared
         s_side.index.extend(s_side.pending)
         s_side.pending = array("Q")
         s_side.index.row_bound = 0  # r is looked up in it now
+    a = _pow(base, q1, n, stats)
     halved = s_side is not None and s_side.const == 1  # the s side is A_{m-1}^s
     minus_stream = cfg.probe_minus_form and q0 != 0
     a_inv = _inv(a, n, stats) if halved or minus_stream else None
@@ -446,7 +445,7 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
                 return result, None
             stats.collisions += len(pairs)
         if keep:
-            handed = plus, q0, a_prev, a
+            handed = plus, base
         return None, handed
     finally:
         sides = [side for side in (s_side, *streams)

@@ -4,11 +4,12 @@ An index stores only a truncated fingerprint (the low w bits of x^j mod n)
 plus the exponent j, and grows by segments of consecutive exponents. One
 hash maps each fingerprint to its first exponent; a side hash maps a
 repeated fingerprint to a list of its later exponents, appended in place,
-so each repeat costs O(1). The mitm window (attack._mitm_window)
-keeps one index over its s side and one per r stream, all at MAX_WIDTH so
-that an index can serve the next anchor whatever its bounds, grows both
-sides stage by stage, and looks each new segment up in bulk in the other
-side's index, one call per segment.
+so each repeat costs O(1). The mitm window (attack._mitm_window) keeps
+one index over its s side and one per r stream, all at the width that its
+largest admitted window asks for (attack.MITM_WIDTH), so that an index can
+serve the next anchor whatever its bounds, grows both sides stage by
+stage, and looks each new segment up in bulk in the other side's index,
+one call per segment.
 
 With the gcd filter a hit (s, r) is kept only when gcd(r, s, 30) = 1: no
 prime of 2*3*5 divides both, so no coprime pair is lost. The filter costs

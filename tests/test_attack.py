@@ -310,17 +310,18 @@ class TestMitmAttack:
 
     def test_anchor_minus_one_window_is_linear(self):
         # At anchor -1 the s side is the constant 2 and d = r, so the
-        # window builds only the chain a^r = 2^(e*r), R - 1 steps after the
-        # power 2^e, and looks 2 up in its index once per stage. It costs
-        # about what any other anchor's window does (about 0.1 s); storing
-        # the S repeats of a constant stream in quadratic time took 2 s.
+        # window builds only the chain a^r = 2^(e*r), one step per r from 1
+        # after the power 2^e, and looks 2 up in its index once per stage.
+        # It costs about what any other anchor's window does (about 0.1 s);
+        # storing the S repeats of a constant stream in quadratic time
+        # took 2 s.
         pub, _ = keygen_weak(96, 2**20, 123)
         t0 = time.perf_counter()
         res = run_attack(pub, AttackConfig(r_max=1 << 16, s_max=1 << 16,
                                            m_candidates=(-1,)))
         elapsed = time.perf_counter() - t0
         assert res.outcome == "exhausted"
-        assert res.stats.modmuls == (1 << 16) - 1 + _pow_cost(pub.e)
+        assert res.stats.modmuls == (1 << 16) + _pow_cost(pub.e)
         assert res.stats.probes == 11  # stages 64, 128, ..., 2^16
         assert elapsed < 1
 
@@ -388,10 +389,10 @@ class TestMitmAttack:
         # form), and anchor m'+1 matches b^s against 2*a^-r and a^r/2; the
         # s side of each later anchor is the plus stream of the one before.
         # So the chains cost one stream per sign at each anchor and one s
-        # side at the first, plus the powers: 2^(e*q) twice at the first
-        # anchor, one power to the partial quotient and a product at each
-        # later one, and one modular inverse per form a^-r or b^-s.
-        monkeypatch.setattr(attack, "MAX_WIDTH", 16)
+        # side at the first, one step per value, plus the powers: B = 2^e
+        # and b = B^q0 at the first anchor, a = B^q1 at each, and one
+        # modular inverse per form a^-r or b^-s.
+        monkeypatch.setattr(attack, "MITM_WIDTH", 16)
         windows = _record_windows(monkeypatch)
         pub, _ = keygen_weak(96, 2**20, 123)
         n, e = pub.n, pub.e
@@ -406,10 +407,8 @@ class TestMitmAttack:
             a, b = pow(2, e * q1, n), pow(2, e * q0, n)
             halved = i % 2  # the s side is b^s
             if i == 0:
-                modmuls += _pow_cost(e * q0) + _pow_cost(e * q1) + 1 + S
-            else:
-                modmuls += _pow_cost((q1 - windows[i - 1][1]) // q0) + 1
-            modmuls += R - 1 + halved + minus_form * R + (halved or minus_form)
+                modmuls += _pow_cost(e) + _pow_cost(q0) + 1 + S
+            modmuls += _pow_cost(q1) + R + minus_form * R + (halved or minus_form)
             side = ((b, 1) if halved else (pow(b, -1, n), 2))
             forms = [(pow(a, -1, n), 2) if halved else (a, 1),
                      (a, pow(2, -1, n)) if halved else (pow(a, -1, n), 4)]
@@ -479,14 +478,14 @@ class TestMitmAttack:
         # A 1024-bit key whose (r, s) lies within the first stage of its
         # first anchor: the window stops there, long before the 2^15 chain
         # steps of a full table and stream at R = S = 2^14. Besides the
-        # chains it pays the two powers 2^(e*q) and one inverse.
+        # chains it pays the powers B = 2^e, B^q0 and B^q1 and one inverse.
         windows = _record_windows(monkeypatch)
         pub, priv = keygen_weak(1024, 4, 0)
         res = run_attack(pub, AttackConfig(variant="mitm", r_max=1 << 14, s_max=1 << 14))
         assert res.recovered and res.d == priv.d
         assert res.stats.m_tried == 1
         (_, q0, _, q1, _, _), = windows
-        powers = _pow_cost(pub.e * q0) + _pow_cost(pub.e * q1) + 1
+        powers = _pow_cost(pub.e) + _pow_cost(q0) + _pow_cost(q1) + 1
         assert res.stats.modmuls - powers < 1 << 9
 
     @pytest.mark.parametrize("bounds, key_ratio, seed, m_tried", [
