@@ -154,6 +154,8 @@ def wiener_classic(pub: PublicKey) -> AttackResult:
 
 
 def _m_candidates(cf, target, bound, cfg):
+    """The anchor indices a search with cfg tries, in order; bench answers
+    its success rows from the same list."""
     if cfg.variant == "wiener":
         return []  # the Wiener pass alone
     top = len(cf) - 2  # need convergent m+1

@@ -4,7 +4,9 @@ import random
 from dataclasses import dataclass, replace
 from math import ceil, isfinite
 
-from .attack import AttackConfig, anchor_index, run_attack
+from . import contfrac
+from .attack import (AttackConfig, _m_candidates, anchor_index, approximation_target,
+                     run_attack)
 from .rsa import MIN_D_RATIO, keygen_weak
 
 # (bound on r, bound on s) as multiples of D.
@@ -38,10 +40,18 @@ class SuccessRow:
 def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
     """Success rate of the meet-in-the-middle attack per (r, s) bound row.
 
-    Each attack runs with the gcd filter on; a miss gets the minus-form
-    rescue. The same seeded keys are reused for every row (paired samples),
-    which keeps the between-row comparisons low-variance at desk-scale
-    trial counts.
+    A row (R, S) recovers a key when its mitm attack, with the gcd filter
+    on, does, or else when the minus-form rescue at (S, R) does. The same
+    seeded keys are reused for every row (paired samples), which keeps the
+    between-row comparisons low-variance at desk-scale trial counts.
+
+    Every row's box, and its rescue's, lies inside the largest row bounds,
+    so each key gets one search at those bounds and, when that misses and
+    the anchor m' exists, one rescue. On a two-prime n, which keygen_weak
+    makes, a recovered (d, k) is the true pair, and each row is answered by
+    comparison: a Wiener hit succeeds in every row; otherwise a row succeeds
+    when the key's (r, s) at some tried anchor, or its rescue's at m' + 1,
+    lies in the row's box.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -54,42 +64,69 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
     for _ in range(trials):
         ratio = max(d_ratio * rng.random(), MIN_D_RATIO)
         keys.append(keygen_weak(bits, ratio, rng.randrange(1 << 63)))
-    anchors = [anchor_index(pub, approx) for pub, _ in keys]
-    rows = []
-    for r_mult, s_mult in SUCCESS_BOUND_ROWS:
-        r_max = max(1, ceil(r_mult * d_ratio))
-        s_max = max(1, ceil(s_mult * d_ratio))
-        cfg = AttackConfig(
-            variant="mitm",
-            r_max=r_max,
-            s_max=s_max,
-            approx=approx,
-            gcd_rows=True,
-        )
-        successes = 0
-        for (pub, _), m_prime in zip(keys, anchors):
-            if run_attack(pub, cfg).recovered:
-                successes += 1
-            elif m_prime is not None and _minus_rescue(pub, m_prime, cfg):
-                successes += 1
-        rows.append(SuccessRow(r_mult, s_mult, trials, successes))
-    return rows
+    bounds = [(max(1, ceil(r_mult * d_ratio)), max(1, ceil(s_mult * d_ratio)))
+              for r_mult, s_mult in SUCCESS_BOUND_ROWS]
+    cfg = AttackConfig(
+        variant="mitm",
+        r_max=max(r for r, _ in bounds),
+        s_max=max(s for _, s in bounds),
+        approx=approx,
+        gcd_rows=True,
+    )
+    successes = [0] * len(bounds)
+    for pub, _ in keys:
+        for i, hit in enumerate(_rows_recovered(pub, cfg, bounds)):
+            successes[i] += hit
+    return [SuccessRow(r_mult, s_mult, trials, count)
+            for (r_mult, s_mult), count in zip(SUCCESS_BOUND_ROWS, successes)]
+
+
+def _rows_recovered(pub, cfg, bounds):
+    """Whether each row (R, S) of bounds recovers the key pub, from one
+    search at cfg's bounds, which hold every row's, and at most one rescue."""
+    m_prime = anchor_index(pub, cfg.approx)
+    result = run_attack(pub, cfg)
+    if not result.recovered and m_prime is not None:
+        result = _minus_rescue(pub, m_prime, cfg)
+    if not result.recovered:
+        return [False] * len(bounds)
+    if not result.stats.m_tried:
+        return [True] * len(bounds)  # the Wiener pass, which every row runs
+    target, bound = approximation_target(pub, cfg.approx)
+    cf = contfrac.expand(target)
+    plus = [_rs_at(cf, m, result.d, result.k) for m in _m_candidates(cf, target, bound, cfg)]
+    rescue = None
+    if m_prime is not None and m_prime + 1 <= len(cf) - 2:
+        rescue = _rs_at(cf, m_prime + 1, result.d, result.k)
+    return [any(1 <= r <= r_max and 0 <= s <= s_max for r, s in plus)
+            or (rescue is not None and 1 <= rescue[0] <= s_max and abs(rescue[1]) <= r_max)
+            for r_max, s_max in bounds]
+
+
+def _rs_at(cf, m, d, k):
+    """The integers (r, s) with d = r*q_{m+1} + s*q_m and k = r*p_{m+1} + s*p_m;
+    the determinant q_{m+1}*p_m - q_m*p_{m+1} is +-1."""
+    p0, q0 = cf.convergent(m)
+    p1, q1 = cf.convergent(m + 1)
+    det = q1 * p0 - q0 * p1
+    return (d * p0 - k * q0) * det, (q1 * k - p1 * d) * det
 
 
 def _minus_rescue(pub, m_prime, cfg):
-    """Rescue pass for the row cfg at the middle window index m' + 1 with
-    the bounds swapped.
+    """The rescue of the bounds cfg: one mitm run at the middle window index
+    m' + 1 with the bounds swapped, as an AttackResult.
 
     The candidate family behind the reference table pairs the plus form
     d = r*q_{m+1} + s*q_m over the whole window with a minus form anchored
     at m' + 1 in which the s bound limits the coefficient of the larger
     convergent, i.e. d = r'*q_{m'+2} - s'*q_{m'+1} with r' <= s_max and
-    s' <= r_max. The rescue is one mitm run: its own Wiener pass, then at
-    m' + 1 the plus and the minus stream, both with the swapped bounds.
+    s' <= r_max. The run makes its own Wiener pass, then at m' + 1 searches
+    the plus and the minus stream, both with the swapped bounds.
+    success_table runs it at most once per key, at the largest row bounds.
     """
     return run_attack(pub, replace(
         cfg, r_max=cfg.s_max, s_max=cfg.r_max, probe_minus_form=True,
-        m_candidates=(m_prime + 1,))).recovered
+        m_candidates=(m_prime + 1,)))
 
 
 def bound_table(rows=DEFAULT_BOUND_TABLE_ROWS):

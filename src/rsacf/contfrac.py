@@ -125,19 +125,30 @@ def worley_enumerate(x: Fraction, c) -> list:
 def locate_m_prime(ef: Fraction, bound: Fraction, cf: ContFrac | None = None):
     """Largest odd index m' with p_{m'}/q_{m'} - ef > bound, or None.
 
-    Comparisons are exact rational arithmetic; callers pass a bound that
-    safely over-estimates the real error term.
+    cf is the expansion of ef. Its odd convergents fall strictly towards
+    ef, so the odd indices that pass the test are a prefix 1, 3, ..., m',
+    whatever the bound, and a bisection over the odd indices finds its end
+    in about log2(len(cf)) tests. Each test is exact and in integers: with
+    ef = x_num/x_den and bound = b_num/b_den (denominators positive),
+    p/q - ef > bound is (p*x_den - x_num*q) * b_den > b_num * q * x_den.
+    Callers pass a bound that safely over-estimates the real error term.
     """
     if cf is None:
         cf = expand(ef)
-    top = len(cf) - 1
-    if top % 2 == 0:
-        top -= 1
-    for m in range(top, 0, -2):
-        p, q = cf.convergent(m)
-        if Fraction(p, q) - ef > bound:
-            return m
-    return None
+    ef, bound = Fraction(ef), Fraction(bound)
+    x_num, x_den = ef.numerator, ef.denominator
+    b_num, b_den = bound.numerator, bound.denominator
+    # Odd index 2i + 1 for i in [0, len(cf) // 2): those below lo pass,
+    # those from hi up fail.
+    lo, hi = 0, len(cf) // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        p, q = cf.convergent(2 * mid + 1)
+        if (p * x_den - x_num * q) * b_den > b_num * q * x_den:
+            lo = mid + 1
+        else:
+            hi = mid
+    return 2 * lo - 1 if lo else None
 
 
 def rs_bounds(a_next: int, a_next2: int, a_next3: int, D):

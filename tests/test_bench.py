@@ -1,7 +1,10 @@
 """Unit tests for the table-reproduction harness."""
 
+from collections import Counter
+
 import pytest
 
+from rsacf import bench
 from rsacf.bench import (
     SUCCESS_BOUND_ROWS,
     bound_table,
@@ -9,6 +12,40 @@ from rsacf.bench import (
     format_success_table,
     success_table,
 )
+
+# ((bits, d_ratio, trials, seed, approx), successes per row), as computed by
+# running every row's attack and rescue on its own. At 64 bits and
+# d_ratio 0.1 every row's bounds clamp to 1.
+GOLDEN_TABLES = [
+    ((128, 4, 16, 0, 'plain'), [16, 16, 6, 12, 10, 10, 9, 9, 7]),
+    ((128, 4, 16, 1, 'plain'), [16, 16, 13, 16, 13, 14, 8, 9, 8]),
+    ((128, 4, 16, 2, 'plain'), [15, 12, 10, 13, 12, 11, 6, 11, 7]),
+    ((128, 4, 16, 3, 'plain'), [15, 14, 8, 14, 9, 10, 7, 7, 6]),
+    ((128, 4, 16, 0, 'improved'), [16, 16, 16, 16, 16, 16, 16, 16, 15]),
+    ((128, 4, 16, 1, 'improved'), [16, 16, 16, 16, 16, 16, 16, 16, 16]),
+    ((128, 4, 16, 2, 'improved'), [16, 16, 16, 16, 16, 16, 16, 16, 16]),
+    ((128, 4, 16, 3, 'improved'), [16, 16, 16, 16, 16, 16, 16, 16, 16]),
+    ((128, 16, 16, 0, 'plain'), [15, 14, 12, 13, 14, 12, 7, 9, 4]),
+    ((128, 16, 16, 1, 'plain'), [16, 15, 12, 14, 14, 10, 9, 7, 5]),
+    ((128, 16, 16, 2, 'plain'), [16, 15, 11, 15, 12, 10, 7, 9, 6]),
+    ((128, 16, 16, 3, 'plain'), [16, 15, 10, 15, 11, 11, 7, 9, 1]),
+    ((128, 16, 16, 0, 'improved'), [16, 16, 15, 16, 15, 16, 15, 16, 15]),
+    ((128, 16, 16, 1, 'improved'), [16, 16, 16, 16, 16, 15, 16, 15, 16]),
+    ((128, 16, 16, 2, 'improved'), [16, 16, 16, 16, 16, 16, 16, 16, 16]),
+    ((128, 16, 16, 3, 'improved'), [16, 16, 16, 16, 16, 16, 16, 16, 15]),
+    ((128, 64, 16, 0, 'plain'), [16, 13, 10, 13, 13, 7, 6, 8, 3]),
+    ((128, 64, 16, 1, 'plain'), [15, 14, 10, 14, 11, 13, 6, 12, 5]),
+    ((128, 64, 16, 2, 'plain'), [16, 15, 9, 13, 11, 9, 6, 7, 6]),
+    ((128, 64, 16, 3, 'plain'), [16, 14, 10, 12, 14, 8, 6, 6, 4]),
+    ((128, 64, 16, 0, 'improved'), [16, 16, 16, 16, 16, 16, 15, 16, 14]),
+    ((128, 64, 16, 1, 'improved'), [16, 16, 16, 16, 16, 16, 16, 15, 16]),
+    ((128, 64, 16, 2, 'improved'), [16, 16, 16, 16, 16, 16, 16, 16, 16]),
+    ((128, 64, 16, 3, 'improved'), [16, 16, 16, 16, 16, 16, 16, 14, 15]),
+    ((64, 0.1, 16, 0, 'plain'), [16, 16, 16, 16, 16, 16, 16, 16, 16]),
+    ((64, 0.1, 16, 1, 'improved'), [16, 16, 16, 16, 16, 16, 16, 16, 16]),
+    ((96, 8, 16, 0, 'plain'), [15, 13, 10, 13, 12, 11, 9, 9, 4]),
+    ((96, 8, 16, 1, 'improved'), [16, 16, 16, 16, 16, 16, 16, 15, 16]),
+]
 
 
 class TestBoundTable:
@@ -49,6 +86,30 @@ class TestSuccessTable:
         rows = {(r.r_bound_mult, r.s_bound_mult): r.successes
                 for r in success_table(96, 8, 40, seed=2)}
         assert rows[(4, 4)] >= rows[(2, 2)] >= rows[(1, 1)]
+
+    @pytest.mark.parametrize("args, successes", GOLDEN_TABLES)
+    def test_golden_rows(self, args, successes):
+        bits, d_ratio, trials, seed, approx = args
+        rows = success_table(bits, d_ratio, trials, seed, approx=approx)
+        assert [row.successes for row in rows] == successes
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_search_and_one_rescue_per_key(self, monkeypatch, seed):
+        # Calls per modulus n; a rescue makes one run_attack call itself.
+        searches, rescues = Counter(), Counter()
+
+        def counted(calls, f):
+            def wrapper(pub, *args, **kwargs):
+                calls[pub.n] += 1
+                return f(pub, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(bench, "run_attack", counted(searches, bench.run_attack))
+        monkeypatch.setattr(bench, "_minus_rescue", counted(rescues, bench._minus_rescue))
+        success_table(128, 16, 16, seed)
+        assert len(searches) == 16
+        assert all(searches[n] - rescues[n] == 1 for n in searches)
+        assert max(rescues.values(), default=0) <= 1
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -338,6 +338,21 @@ def test_readme_commands_exit_0(tmp_path, capsys, monkeypatch):
         assert code == 0, (argv, err)
 
 
+# `bench success --bits 128 --d-ratio 16 --trials 8 --seed 1 --json` as
+# computed by running every row's attack and rescue on its own.
+SUCCESS_JSON_GOLDEN = [
+    {"r_bound_mult": 4, "s_bound_mult": 4, "trials": 8, "successes": 8, "rate": 1.0},
+    {"r_bound_mult": 2, "s_bound_mult": 2, "trials": 8, "successes": 7, "rate": 0.875},
+    {"r_bound_mult": 1, "s_bound_mult": 1, "trials": 8, "successes": 6, "rate": 0.75},
+    {"r_bound_mult": 1, "s_bound_mult": 4, "trials": 8, "successes": 7, "rate": 0.875},
+    {"r_bound_mult": 4, "s_bound_mult": 1, "trials": 8, "successes": 7, "rate": 0.875},
+    {"r_bound_mult": 0.5, "s_bound_mult": 2, "trials": 8, "successes": 6, "rate": 0.75},
+    {"r_bound_mult": 2, "s_bound_mult": 0.5, "trials": 8, "successes": 4, "rate": 0.5},
+    {"r_bound_mult": 0.25, "s_bound_mult": 4, "trials": 8, "successes": 3, "rate": 0.375},
+    {"r_bound_mult": 4, "s_bound_mult": 0.25, "trials": 8, "successes": 4, "rate": 0.5}
+]
+
+
 class TestBench:
     def test_bounds_json(self, capsys):
         code, out, _ = run(capsys, "bench", "bounds", "--json")
@@ -370,6 +385,12 @@ class TestBench:
         rows = json.loads(out1)
         assert len(rows) == 9
         assert all(r["trials"] == 4 for r in rows)
+
+    def test_success_json_golden(self, capsys):
+        code, out, _ = run(capsys, "bench", "success", "--bits", "128", "--d-ratio", "16",
+                           "--trials", "8", "--seed", "1", "--json")
+        assert code == 0
+        assert out == json.dumps(SUCCESS_JSON_GOLDEN) + "\n"
 
 
 class TestParser:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rsacf import expand, locate_m_prime, rs_bounds, worley_enumerate
+from rsacf import expand, keygen_weak, locate_m_prime, rs_bounds, worley_enumerate
+from rsacf.attack import approximation_target
 
 rationals = st.fractions(
     min_value=0, max_value=1000, max_denominator=1000
@@ -117,20 +118,45 @@ class TestWorleyEnumerate:
 
 
 class TestLocateMPrime:
-    def brute_m_prime(self, ef, bound):
-        """Oracle: scan odd convergent indices from the top."""
+    @staticmethod
+    def brute_m_prime(ef, bound):
+        """Oracle: test the odd convergent indices from the top down, in
+        Fraction arithmetic, and return the first that passes."""
         cf = expand(ef)
-        best = None
-        for m in range(1, len(cf), 2):
+        top = len(cf) - 1
+        if top % 2 == 0:
+            top -= 1
+        for m in range(top, 0, -2):
             p, q = cf.convergent(m)
             if Fraction(p, q) - ef > bound:
-                best = m if best is None else max(best, m)
-        return best
+                return m
+        return None
 
-    @given(rationals, st.fractions(min_value="1/10000", max_value="1/10"))
+    @given(rationals, st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value="1/10000", max_value="1/10"),
+        st.fractions(min_value=-10, max_value=10, max_denominator=10**6)))
     def test_matches_bruteforce(self, x, bound):
         cf = expand(x)
         assert locate_m_prime(x, bound, cf) == self.brute_m_prime(x, bound)
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(5), Fraction(7, 2),
+                                   Fraction(10, 3), Fraction(1, 3)])
+    @pytest.mark.parametrize("bound", [Fraction(-1), Fraction(0), Fraction(1, 100),
+                                       Fraction(3, 2)])
+    def test_short_expansions(self, x, bound):
+        # Expansions of length 1 ([0], [5]) and 2 ([3; 2], [3; 3], [0; 3]).
+        assert len(expand(x)) in (1, 2)
+        assert locate_m_prime(x, bound) == self.brute_m_prime(x, bound)
+
+    @pytest.mark.parametrize("key_args", [(1024, 4, seed) for seed in range(6)]
+                             + [(128, 16, seed) for seed in range(20)])
+    def test_matches_bruteforce_on_keys(self, key_args):
+        pub, _ = keygen_weak(*key_args)
+        for approx in ("plain", "improved"):
+            target, bound = approximation_target(pub, approx)
+            m_prime = locate_m_prime(target, bound, expand(target))
+            assert m_prime == self.brute_m_prime(target, bound)
 
     def test_none_when_bound_too_large(self):
         assert locate_m_prime(Fraction(17, 77), Fraction(10)) is None
