@@ -20,7 +20,7 @@ from rsacf import (
 )
 from rsacf import attack, contfrac
 from rsacf.attack import APPROX_MODES, BOUND_MODES, VARIANTS, anchor_index
-from rsacf.rsa import is_probable_prime
+from rsacf.rsa import is_probable_prime, method1_try
 
 TOY = PublicKey(90581, 17993)  # p = 239, q = 379, d = 5, k = 1
 
@@ -72,6 +72,37 @@ def _pow_cost(exp):
     """Multiplications of a square-and-multiply power: one square per bit
     after the first and one multiply per set bit after the first."""
     return max(exp.bit_length() + bin(exp).count("1") - 2, 0)
+
+
+def _reference_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
+    """attack.vvt_scan pair by pair: every coprime (r, s), in (s, r, sign)
+    order, goes through method1_try, the minus form when d > 0 and k >= 1."""
+    trials = 0
+    for s in range(1, s_max + 1):
+        for r in range(1, r_max + 1):
+            if gcd(r, s) != 1:
+                continue
+            for t in ((s, -s) if minus_form else (s,)):
+                d, k = r * q1 + t * q0, r * p1 + t * p0
+                if d < 1 or k < 1:
+                    continue
+                trials += 1
+                got = method1_try(n, e, d, k)
+                if got[2] is None:
+                    return (d, k, got[0], got[1]), trials
+    return None, trials
+
+
+def _convergents(target):
+    """The (numerator, denominator) convergents of a rational, from scratch."""
+    num, den = target.numerator, target.denominator
+    out = []
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while den:
+        a, num, den = num // den, den, num % den
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        out.append((h1, k1))
+    return out
 
 
 class TestApproximationTarget:
@@ -184,17 +215,101 @@ class TestVvtExhaustive:
         assert res.outcome == "exhausted"
         assert res.stats.m_tried == 3
         target, _ = approximation_target(pub)
-        num, den = target.numerator, target.denominator
-        convergents = []  # (k, d)
-        h0, h1, k0, k1 = 0, 1, 1, 0
-        while den:
-            a, num, den = num // den, den, num % den
-            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
-            convergents.append((h1, k1))
-        wiener = sum(1 for k, d in convergents if k >= 1 and d >= 1)
+        wiener = sum(1 for k, d in _convergents(target) if k >= 1 and d >= 1)
         coprime = sum(1 for r in range(1, R + 1) for s in range(1, S + 1)
                       if gcd(r, s) == 1)
         assert res.stats.method1_trials == wiener + 3 * coprime == 1991
+
+    @pytest.mark.parametrize("seed, offset, minus_form, hit, trials", [
+        (3, 0, False, (5, 6), 44),  # plus-form hit at r = 5 of row s = 6
+        (3, 0, True, (5, 6), 77),  # the same with the minus form tried
+        (4, 1, True, (4, -3), 39),  # minus-form hit at r = 4 of row s = 3
+    ], ids=["plus", "plus-with-minus", "minus"])
+    def test_trial_count_on_a_hit_row(self, seed, offset, minus_form, hit, trials):
+        # The hit lies mid-row at s > 1, so the count stops inside a row:
+        # the Wiener pass, then every coprime pair in (s, r, sign) order up
+        # to the true (d, k), all counted here from scratch.
+        pub, priv = keygen_weak(96, 4, seed)
+        R = S = 12
+        m = anchor_index(pub) + offset
+        res = vvt_exhaustive(pub, AttackConfig(
+            variant="vvt", r_max=R, s_max=S, probe_minus_form=minus_form,
+            m_candidates=(m,)))
+        assert res.recovered and res.d == priv.d
+        target, _ = approximation_target(pub)
+        convergents = _convergents(target)
+        wiener = sum(1 for k, d in convergents if k >= 1 and d >= 1)
+        (p0, q0), (p1, q1) = convergents[m], convergents[m + 1]
+        tried = [(r, t, r * q1 + t * q0, r * p1 + t * p0)
+                 for s in range(1, S + 1) for r in range(1, R + 1) if gcd(r, s) == 1
+                 for t in ((s, -s) if minus_form else (s,))]
+        tried = [(r, t, d, k) for r, t, d, k in tried if d >= 1 and k >= 1]
+        count = [(d, k) for _, _, d, k in tried].index((res.d, res.k)) + 1
+        r, t, d, k = tried[count - 1]
+        assert (r, t) == hit and (d, k) == (res.d, res.k)
+        assert res.stats.method1_trials == wiener + count == wiener + trials
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(bits=st.integers(32, 96), d_ratio=st.sampled_from([0.5, 1, 2, 4, 16]),
+           seed=st.integers(0, 2**63 - 1), approx=st.sampled_from(APPROX_MODES),
+           pick=st.integers(0, 1 << 10), near=st.booleans(),
+           r_max=st.integers(1, 40), s_max=st.integers(1, 40),
+           minus_form=st.booleans(), j=st.sampled_from([0, 1, 3]))
+    @example(bits=96, d_ratio=4, seed=4, approx="plain", pick=1, near=True,
+             r_max=12, s_max=12, minus_form=True, j=0)  # a minus-form hit
+    @example(bits=64, d_ratio=1, seed=0, approx="plain", pick=0, near=False,
+             r_max=40, s_max=40, minus_form=True, j=3)  # anchor -1 with e > n
+    def test_scan_matches_pair_by_pair_reference(
+            self, bits, d_ratio, seed, approx, pick, near, r_max, s_max,
+            minus_form, j):
+        # Any anchor m >= -1 (near: m' to m' + 2, where the keys lie), and
+        # e + j*n, which gives the same key but a target above 1 for j > 0.
+        pub, _ = keygen_weak(bits, d_ratio, seed)
+        e = pub.e + j * pub.n
+        target, bound = approximation_target(PublicKey(pub.n, e), approx)
+        cf = contfrac.expand(target)
+        top = len(cf.convergents) - 2
+        m_prime = contfrac.locate_m_prime(target, bound, cf)
+        if near and m_prime is not None:
+            m = min(m_prime + pick % 3, top)
+        else:
+            m = pick % (top + 2) - 1
+        args = (pub.n, e, *cf.convergent(m), *cf.convergent(m + 1), r_max, s_max,
+                minus_form)
+        want = _reference_scan(*args)
+        event("hit" if want[0] else "exhausted")
+        assert attack.vvt_scan(*args) == want
+
+    def test_scan_matches_reference_on_three_primes(self):
+        # n = 11 * 13 * 1009 with e inverse to (143 - 1) * (1009 - 1): the
+        # factor check passes with the composite p = 143, and other pairs
+        # may pass too, so the first in (s, r, sign) order must be found.
+        pub = PublicKey(11 * 13 * 1009, pow(5, -1, 142 * 1008))
+        hits = 0
+        for approx in APPROX_MODES:
+            target, _ = approximation_target(pub, approx)
+            cf = contfrac.expand(target)
+            for m in range(-1, len(cf.convergents) - 1):
+                for minus_form in (False, True):
+                    args = (pub.n, pub.e, *cf.convergent(m), *cf.convergent(m + 1),
+                            24, 24, minus_form)
+                    want = _reference_scan(*args)
+                    hits += want[0] is not None
+                    assert attack.vvt_scan(*args) == want
+        assert hits
+
+    def test_coprime_count(self):
+        # The closed-form count against gcds, for every s <= 1024 and random
+        # (lo, hi], with the primes vvt_scan hands it for r_max = hi.
+        rng = random.Random(15)
+        for s in range(1, 1025):
+            lo = rng.randrange(0, 200)
+            hi = lo + rng.randrange(0, 200)
+            divisors = attack._prime_divisors(s, hi)
+            assert divisors == [p for p in range(2, min(s, hi) + 1)
+                                if s % p == 0 and is_probable_prime(p)]
+            assert attack._coprime_count(lo, hi, divisors) == sum(
+                1 for r in range(lo + 1, hi + 1) if gcd(r, s) == 1)
 
     def test_bound_modes(self):
         pub, priv = keygen_weak(96, 4, 5)
