@@ -14,14 +14,14 @@ from itertools import islice, repeat
 from math import ceil, gcd, isfinite
 from operator import indexOf, mod
 
-from . import contfrac
+from . import contfrac, workers
 from .mitm_table import ROW_MODULUS, FingerprintTable, fingerprint_width, power_chain_fps
 from .numeric import isqrt, mod_inv, mod_pow
 from .rsa import PublicKey, method1_factor, method1_try
 
 VARIANTS = ("wiener", "vvt", "mitm")
 BOUND_MODES = ("explicit", "fixed4d", "quotient")
-APPROX_MODES = ("plain", "improved")
+APPROX_MODES = tuple(contfrac.ERROR_CONSTANT)
 # Largest r_max or s_max of a mitm window. An index entry holds about 96 B
 # at 52-bit fingerprints (FingerprintTable.nominal_bytes, within 1% of the
 # tracemalloc-held bytes at 2^14 entries), a fingerprint in a chain segment
@@ -32,6 +32,14 @@ APPROX_MODES = ("plain", "improved")
 # whose s side is shared holds that index of 2^22 entries, 0.38 GiB, the kept
 # plus stream's first 2^21 fingerprints and the r segments being matched,
 # under 0.6 GiB. Either way a search at the cap stays under about 1 GiB.
+# A segment split over workers (_Side.grow) comes back in arrays, 8 B a
+# fingerprint, which this process reads, 16 MiB a worker for half of a
+# 2^21 segment, while it joins them into its list. A worker is a forked
+# copy of this process from its first split segment, a stage of at most
+# 2,048 steps at 1024 bits or 16,384 at 96, with the pages of that moment
+# shared until either side writes them; on top it holds its range as it
+# makes it, about 56 MiB for half of a 2^21 segment (40 B a fingerprint,
+# then 8 B packed and 8 B pickled).
 MITM_MAX_BOUND = 1 << 22
 # Width of every mitm index, the one the cap asks for (52 bits), so that an
 # index serves the next anchor whatever its bounds. A 52-bit int takes a 32 B
@@ -118,17 +126,14 @@ def approximation_target(pub: PublicKey, mode: str = "plain"):
     """Approximation target for k/d and a safe rational over-estimate of
     the error bound (sqrt(n) rounded down in the bound denominator, up in
     the improved target's denominator)."""
+    if mode not in APPROX_MODES:
+        raise ValueError(f"unknown approximation mode {mode!r}")
     n, e = pub.n, pub.e
-    root = isqrt(n)
+    bound = contfrac.ERROR_CONSTANT[mode] * Fraction(e, n * isqrt(n))
     if mode == "plain":
-        return Fraction(e, n), Fraction(2122, 1000) * Fraction(e, n * root)
-    if mode == "improved":
-        two_root = isqrt(4 * n - 1) + 1  # ceil(2*sqrt(n))
-        return (
-            Fraction(e, n + 1 - two_root),
-            Fraction(1221, 10000) * Fraction(e, n * root),
-        )
-    raise ValueError(f"unknown approximation mode {mode!r}")
+        return Fraction(e, n), bound
+    two_root = isqrt(4 * n - 1) + 1  # ceil(2*sqrt(n))
+    return Fraction(e, n + 1 - two_root), bound
 
 
 def anchor_index(pub: PublicKey, approx: str = "plain"):
@@ -178,7 +183,8 @@ def _bounds_for(cfg, cf, m):
             r = s = 4 * cfg.d_ratio
         else:
             r, s = contfrac.rs_bounds(
-                cf.quotient(m + 1), cf.quotient(m + 2), cf.quotient(m + 3), cfg.d_ratio)
+                cf.quotient(m + 1), cf.quotient(m + 2), cf.quotient(m + 3), cfg.d_ratio,
+                cfg.approx)
         return max(1, ceil(r)), max(1, ceil(s))
     except OverflowError:
         # An infinite bound, or a partial quotient beyond the float range.
@@ -267,28 +273,17 @@ def _zeros_at(rems, first, sign):
         return out
 
 
-def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
-    """Exhaustive scan of d = r*q1 +/- s*q0 over [1,r_max] x [1,s_max].
-
-    Only coprime (r, s) pairs are tested, in (s, r, sign) order, sign 0
-    (d = r*q1 + s*q0, k = r*p1 + s*p0) before sign 1 (d = r*q1 - s*q0,
-    k = r*p1 - s*p0, tried when d > 0 and k >= 1). Returns (hit, trials)
-    where hit is (d, k, p, q) or None and trials counts factor-recovery
-    attempts, as if every coprime pair were tried until the hit.
-
-    Each row s is filtered first. With D_i = e*q_i - n*p_i, d*e - 1 =
-    k*n + r*D1 + s*D0 - 1, so the check's first test is k | r*D1 + s*D0 - 1;
-    p1 times it, less D1*k, gives k | s*(p1*D0 - p0*D1) - p1, and
-    p1*D0 - p0*D1 = e*(p1*q0 - p0*q1) = +/-e: a test free of r (with -s for
-    sign 1). Only the r that pass it are checked; the others cannot pass.
-    """
+def _scan_rows(n, e, p0, q0, p1, q1, r_max, s_lo, s_hi, minus_form):
+    """vvt_scan over the rows s_lo <= s < s_hi: (hit, trials), trials
+    counted from row s_lo."""
     dl = e * (p1 * q0 - p0 * q1)  # p1*D0 - p0*D1
     # A row's minus pairs (d = r*q1 - s*q0 > 0, k = r*p1 - s*p0 >= 1) are
     # those with r >= r_lo, which grows with s: once past r_max, no later
-    # row has any. With p1 = 0 no row has any.
+    # row has any. With p1 = 0 no row has any. Started at 1, r_lo takes at
+    # every row the value that a scan from row 1 gives it.
     r_lo = 1 if minus_form and p1 else r_max + 1
     trials = 0
-    for s in range(1, s_max + 1):
+    for s in range(s_lo, s_hi):
         sp0 = s * p0
         if p1:
             found = _zeros_at(map(mod, repeat(s * dl - p1), range(
@@ -326,6 +321,53 @@ def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
     return None, trials
 
 
+def _row_blocks(r_max, s_max, bits):
+    """Lists of row ranges (lo, hi), which cover the rows 1..s_max in order:
+    one range below workers.MIN_WORK, else one per process in each list.
+    The first list's ranges are the fewest rows that reach MIN_WORK, and
+    each list's double the last's, so that a hit waits at most for the
+    ranges beside its own, no longer than its own range takes."""
+    ways = workers.ways(r_max * s_max, bits)
+    size = s_max if ways == 1 else -(-workers.MIN_WORK // (r_max * bits))
+    lo = 1
+    while lo <= s_max:
+        rows = ways * size
+        if s_max + 1 - lo < 2 * rows:
+            rows = s_max + 1 - lo  # no shorter list after this one
+        cuts = [lo + rows * i // ways for i in range(ways + 1)]
+        yield [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+        lo, size = lo + rows, 2 * size
+
+
+def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
+    """Exhaustive scan of d = r*q1 +/- s*q0 over [1,r_max] x [1,s_max].
+
+    Only coprime (r, s) pairs are tested, in (s, r, sign) order, sign 0
+    (d = r*q1 + s*q0, k = r*p1 + s*p0) before sign 1 (d = r*q1 - s*q0,
+    k = r*p1 - s*p0, tried when d > 0 and k >= 1). Returns (hit, trials)
+    where hit is (d, k, p, q) or None and trials counts factor-recovery
+    attempts, as if every coprime pair were tried until the hit.
+
+    Each row s is filtered first. With D_i = e*q_i - n*p_i, d*e - 1 =
+    k*n + r*D1 + s*D0 - 1, so the check's first test is k | r*D1 + s*D0 - 1;
+    p1 times it, less D1*k, gives k | s*(p1*D0 - p0*D1) - p1, and
+    p1*D0 - p0*D1 = e*(p1*q0 - p0*q1) = +/-e: a test free of r (with -s for
+    sign 1). Only the r that pass it are checked; the others cannot pass.
+
+    The rows go in contiguous blocks (_row_blocks), each list of blocks at
+    once over workers.run, and the blocks' answers are merged in s order:
+    the trials of every block before the first hit, then the hit block's.
+    """
+    trials = 0
+    for blocks in _row_blocks(r_max, s_max, n.bit_length()):
+        for hit, count in workers.run(_scan_rows, [
+                (n, e, p0, q0, p1, q1, r_max, lo, hi, minus_form) for lo, hi in blocks]):
+            trials += count
+            if hit is not None:
+                return hit, trials
+    return None, trials
+
+
 def _scan_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
     if r_max * s_max > VVT_MAX_PAIRS:
         raise ValueError(f"vvt bounds ({r_max}, {s_max}) exceed the cap of"
@@ -356,6 +398,14 @@ def _inv(a, n, stats):
     return mod_inv(a, n)
 
 
+def _chain(start, mult, n, count, mask, packed):
+    """The fingerprints of start * mult^j mod n, j < count, and the last
+    value; packed, the fingerprints come in an array('Q'), 8 B each through
+    a worker's pipe, else in a list, as the chain makes them."""
+    fps, _, last = power_chain_fps(start, mult, n, count, mask)
+    return (array("Q", fps) if packed else fps), last
+
+
 class _Side:
     """The chain const * mult^j, j = 1, 2, ..., of one side of a mitm window,
     and the fingerprints it keeps: those of the exponents 1..index.R in its
@@ -371,11 +421,22 @@ class _Side:
 
     def grow(self, end, n, stats):
         """Fingerprints of the exponents top + 1..end, in order, one modular
-        multiplication each."""
-        fps, _, self.last = power_chain_fps(
-            self.last * self.mult % n, self.mult, n, end - self.top, (1 << MITM_WIDTH) - 1)
-        stats.modmuls += end - self.top
-        self.top = end
+        multiplication each. Worth splitting (workers.ways), they go in
+        near-equal ranges over workers.run, and a range from exponent
+        top + 1 + lo, lo > 0, starts from last * mult^(lo + 1), a power
+        charged to stats.modmuls besides the chain's steps."""
+        count = end - self.top
+        ways = workers.ways(count, n.bit_length())
+        cuts = [count * i // ways for i in range(ways + 1)]
+        jobs = [(self.last * (_pow(self.mult, lo + 1, n, stats) if lo else self.mult) % n,
+                 self.mult, n, hi - lo, (1 << MITM_WIDTH) - 1, lo > 0)
+                for lo, hi in zip(cuts, cuts[1:])]
+        stats.modmuls += count
+        parts = workers.run(_chain, jobs)
+        fps = parts[0][0]
+        for part, _ in parts[1:]:
+            fps.extend(part)
+        self.last, self.top = parts[-1][1], end
         return fps
 
     @property

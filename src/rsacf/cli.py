@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import __version__, bench, contfrac
 from .attack import BOUND_MODES, VARIANTS, AttackConfig, run_attack
 from .rsa import GenerationError, KeyFormatError, keygen_weak, read_key, write_key
+from .workers import WorkerError
 
 DEFAULT_SEED = 0xC0FFEE
 
@@ -159,7 +160,7 @@ def main(argv=None) -> int:
         if args.command == "attack":
             return _cmd_attack(args)
         return _cmd_bench(args)
-    except (OSError, KeyFormatError, GenerationError, ValueError) as exc:
+    except (OSError, KeyFormatError, GenerationError, ValueError, WorkerError) as exc:
         print(f"rsacf: {exc}", file=sys.stderr)
         return 2
 

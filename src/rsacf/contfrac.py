@@ -9,6 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 WORLEY_BUDGET = 1 << 16  # candidate fractions, bounding worley_enumerate's time and memory
+# The error constant c of each approximation target for k/d (attack.
+# approximation_target): |target - k/d| < c * e / (n * sqrt(n)). Its error
+# bound and rs_bounds' quotient bounds both read it.
+ERROR_CONSTANT = {"plain": Fraction(2122, 1000), "improved": Fraction(1221, 10000)}
 
 
 @dataclass(frozen=True)
@@ -151,12 +155,14 @@ def locate_m_prime(ef: Fraction, bound: Fraction, cf: ContFrac | None = None):
     return 2 * lo - 1 if lo else None
 
 
-def rs_bounds(a_next: int, a_next2: int, a_next3: int, D):
-    """Heuristic search bounds on (r, s) for a given D = d / n^0.25."""
+def rs_bounds(a_next: int, a_next2: int, a_next3: int, D, approx: str = "plain"):
+    """Heuristic search bounds on (r, s) for a given D = d / n^0.25, under
+    the error constant of the approx target."""
     if D < 0:
         raise ValueError("D must be nonnegative")
-    t3 = math.sqrt(2.122 * (a_next3 + 2))
-    t2 = math.sqrt(2.122 * (a_next2 + 2))
+    c = float(ERROR_CONSTANT[approx])
+    t3 = math.sqrt(c * (a_next3 + 2))
+    t2 = math.sqrt(c * (a_next2 + 2))
     r_max = max(t3 * (a_next2 + 1) * D, t2 * D)
     s_max = max(2 * t3 * D, t2 * (a_next + 1) * D)
     return (r_max, s_max)

@@ -319,6 +319,42 @@ class TestVvtExhaustive:
             assert res.recovered and res.d == priv.d
 
 
+class TestQuotientBounds:
+    def test_true_rs_lies_in_a_tried_box(self):
+        # The quotient bounds' claim, under each target's own error
+        # constant: a key with d about D * n^0.25 that the Wiener pass
+        # misses has its (r, s), solved from the private key, inside the
+        # box rs_bounds gives at one of the anchors the search tries (|s|
+        # for the minus form). Measured: at most 0.38 of a bound under the
+        # plain target and 0.28 under the improved one, over 1,800 keys.
+        rng = random.Random(16)
+        used, checked = {}, 0
+        for approx in APPROX_MODES:
+            for D in (2, 16, 256):
+                cfg = AttackConfig(bound_mode="quotient", d_ratio=D, approx=approx)
+                for _ in range(20):
+                    pub, priv = keygen_weak(rng.choice((96, 128, 192, 256)), D,
+                                            rng.randrange(1 << 63))
+                    d, k = priv.d, (pub.e * priv.d - 1) // priv.phi
+                    target, bound = approximation_target(pub, approx)
+                    cf = contfrac.expand(target)
+                    if (k, d) in cf.convergents:
+                        continue
+                    fractions = []
+                    for m in attack._m_candidates(cf, target, bound, cfg):
+                        (p0, q0), (p1, q1) = cf.convergent(m), cf.convergent(m + 1)
+                        det = q1 * p0 - q0 * p1
+                        r, s = (d * p0 - k * q0) * det, (q1 * k - p1 * d) * det
+                        r_max, s_max = attack._bounds_for(cfg, cf, m)
+                        if r >= 1:
+                            fractions.append(max(r / r_max, abs(s) / s_max))
+                    used[approx, D] = max(used.get((approx, D), 0),
+                                          min(fractions, default=float("inf")))
+                    checked += 1
+        assert checked >= 60
+        assert max(used.values()) <= 1, used
+
+
 class TestMitmAttack:
     def test_recovers_weak_key(self):
         pub, priv = keygen_weak(96, 16, 0)
@@ -423,20 +459,30 @@ class TestMitmAttack:
                 recovered += mitm.recovered
         assert 0 < recovered < 3 * len(keys)
 
-    def test_anchor_minus_one_window_is_linear(self):
+    def test_anchor_minus_one_window_is_linear(self, monkeypatch):
         # At anchor -1 the s side is the constant 2 and d = r, so the
         # window builds only the chain a^r = 2^(e*r), one step per r from 1
         # after the power 2^e, and looks 2 up in its index once per stage.
         # It costs about what any other anchor's window does (about 0.1 s);
         # storing the S repeats of a constant stream in quadratic time
-        # took 2 s.
+        # took 2 s. A segment split over workers adds one power a range
+        # after its first, below the segment's length.
         pub, _ = keygen_weak(96, 2**20, 123)
+        exps = []
+        charged = attack._pow
+
+        def record(base, exp, n, stats):
+            exps.append(exp)
+            return charged(base, exp, n, stats)
+
+        monkeypatch.setattr(attack, "_pow", record)
         t0 = time.perf_counter()
         res = run_attack(pub, AttackConfig(r_max=1 << 16, s_max=1 << 16,
                                            m_candidates=(-1,)))
         elapsed = time.perf_counter() - t0
         assert res.outcome == "exhausted"
-        assert res.stats.modmuls == (1 << 16) + _pow_cost(pub.e)
+        assert exps[0] == pub.e and all(x <= 1 << 15 for x in exps[1:])
+        assert res.stats.modmuls == (1 << 16) + sum(map(_pow_cost, exps))
         assert res.stats.probes == 11  # stages 64, 128, ..., 2^16
         assert elapsed < 1
 
@@ -603,9 +649,12 @@ class TestMitmAttack:
         powers = _pow_cost(pub.e) + _pow_cost(q0) + _pow_cost(q1) + 1
         assert res.stats.modmuls - powers < 1 << 9
 
+    # Under the improved target's error constant, d_ratio 2.1 gives boxes
+    # a side about what 0.5 gave when its bounds used the plain one
+    # (0.5 * sqrt(2.122 / 0.1221) = 2.08).
     @pytest.mark.parametrize("bounds, key_ratio, seed, m_tried", [
-        ({"bound_mode": "quotient", "d_ratio": 0.5}, 16, 622, 2),
-        ({"bound_mode": "quotient", "d_ratio": 0.5}, 64, 528, 3),
+        ({"bound_mode": "quotient", "d_ratio": 2.1}, 16, 622, 2),
+        ({"bound_mode": "quotient", "d_ratio": 2.1}, 64, 528, 3),
         ({"r_max": 16, "s_max": 4}, 8, 56, 2),
         ({"r_max": 16, "s_max": 4}, 16, 103, 3),
     ], ids=["quotient-m+1", "quotient-m+2", "explicit-m+1", "explicit-m+2"])
