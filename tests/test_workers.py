@@ -42,9 +42,7 @@ def _scan_args(pub, approx, m, r_max, s_max, minus_form):
 def _scan_in_blocks(args, cuts, per_list):
     """vvt_scan(*args) with its rows in the blocks between cuts, per_list
     blocks to each workers.run call."""
-    s_max = args[7]
-
-    def blocks(r_max, s_max_, bits):
+    def blocks(r_max, s_max, bits):
         edges = [1, *sorted({c for c in cuts if 1 < c <= s_max}), s_max + 1]
         ranges = list(zip(edges, edges[1:]))
         for i in range(0, len(ranges), per_list):
@@ -80,8 +78,8 @@ class TestScanBlocks:
 
     @pytest.mark.parametrize("minus_form", [False, True])
     def test_hit_in_and_at_the_start_of_a_block(self, minus_form):
-        # keygen_weak(96, 4, 4) is found at (r, s) = (4, 3) with the minus
-        # form, at (r, s) = (5, 6) by the plus form at anchor m' of seed 3.
+        # Seed 3's key is found by the plus form at (r, s) = (5, 6) at
+        # anchor m', seed 4's by the minus form at (4, -3) at m' + 1.
         seed, offset = (4, 1) if minus_form else (3, 0)
         pub, _ = keygen_weak(96, 4, seed)
         m = attack.anchor_index(pub) + offset
@@ -227,7 +225,8 @@ def test_worker_failure_exits_2(tmp_path, capsys, monkeypatch, act, says):
 def test_cli_run_leaves_no_process(tmp_path):
     # An exhausted key whose last chain segments (4,096 steps of 511 bits)
     # are split, in a session of its own: once the command has exited,
-    # nothing of its process group is left.
+    # nothing of its process group is left. Development mode shows any
+    # warning a worker would print, such as an unclosed pipe.
     pub = keygen_weak(512, 2**20, 7)[0]
     assert workers.ways(4096, pub.n.bit_length()) == min(workers._cpus(), 4096)
     key = tmp_path / "key.txt"
@@ -235,7 +234,7 @@ def test_cli_run_leaves_no_process(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "rsacf.cli", "attack", "--key", str(key),
+        [sys.executable, "-X", "dev", "-m", "rsacf.cli", "attack", "--key", str(key),
          "--rmax", "8192", "--smax", "8192"],
         env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
