@@ -425,12 +425,14 @@ class _Side:
         near-equal ranges over workers.run, and a range from exponent
         top + 1 + lo, lo > 0, starts from last * mult^(lo + 1), a power
         charged to stats.modmuls besides the chain's steps."""
-        count = end - self.top
+        count, mult = end - self.top, self.mult
         ways = workers.ways(count, n.bit_length())
-        cuts = [count * i // ways for i in range(ways + 1)]
-        jobs = [(self.last * (_pow(self.mult, lo + 1, n, stats) if lo else self.mult) % n,
-                 self.mult, n, hi - lo, (1 << MITM_WIDTH) - 1, lo > 0)
-                for lo, hi in zip(cuts, cuts[1:])]
+        jobs, lo = [], 0
+        for i in range(1, ways + 1):
+            hi = count * i // ways
+            start = self.last * (_pow(mult, lo + 1, n, stats) if lo else mult) % n
+            jobs.append((start, mult, n, hi - lo, (1 << MITM_WIDTH) - 1, lo > 0))
+            lo = hi
         stats.modmuls += count
         parts = workers.run(_chain, jobs)
         fps = parts[0][0]

@@ -43,8 +43,6 @@ def ways(ops, bits):
 
 
 def _serve(inp, out):
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent answers ^C
     while True:
         try:
             fn, args = _pickle.load(inp)
@@ -61,6 +59,7 @@ def _serve(inp, out):
 def _fork():
     global _pickle
     import pickle
+    import signal  # here, so that the child imports nothing
     _pickle = pickle
     down, up = os.pipe(), os.pipe()
     try:
@@ -71,6 +70,7 @@ def _fork():
         raise
     if pid == 0:
         try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent answers ^C
             os.close(down[1])
             os.close(up[0])
             for _, out, inp in _workers:  # the other workers' pipes

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -175,7 +176,15 @@ def test_forked_child_keeps_off_the_parents_pipes():
         ok = workers.run(abs, [(-3,), (-4,)]) == [3, 4]
         workers.shutdown()
         os._exit(0 if ok else 1)
-    assert os.waitpid(pid, 0)[1] == 0
+    for _ in range(600):  # 60 s at most
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done and status == 0
     assert workers.run(abs, [(-5,), (-6,)]) == [5, 6]
 
 
