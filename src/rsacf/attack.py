@@ -460,6 +460,12 @@ def _note(stats, sides):
     stats.table_bytes = max(stats.table_bytes, sum(side.nominal_bytes for side in sides))
 
 
+def _check_mitm_bounds(r_max, s_max):
+    if max(r_max, s_max) > MITM_MAX_BOUND:
+        raise ValueError(f"mitm bounds ({r_max}, {s_max}) exceed the cap of"
+                         f" {MITM_MAX_BOUND} per side")
+
+
 def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
     """Meet-in-the-middle search of anchor m, in stages.
 
@@ -495,9 +501,7 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
     only a^r, looks 2 up in it once per stage, and tries each match with
     every s of the stage in the same order.
     """
-    if max(r_max, s_max) > MITM_MAX_BOUND:
-        raise ValueError(f"mitm bounds ({r_max}, {s_max}) exceed the cap of"
-                         f" {MITM_MAX_BOUND} per side")
+    _check_mitm_bounds(r_max, s_max)
     n = pub.n
     if shared is None:
         # n is odd, so the powers of 2 are units and invertible.

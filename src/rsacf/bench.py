@@ -3,11 +3,14 @@
 import random
 from dataclasses import dataclass, replace
 from math import ceil, isfinite
+from operator import itemgetter
 
-from . import contfrac
-from .attack import (AttackConfig, _m_candidates, anchor_index, approximation_target,
-                     run_attack)
-from .rsa import MIN_D_RATIO, keygen_weak
+from . import contfrac, workers
+# anchor_index is not called here. It stays importable as bench.anchor_index,
+# a name perfbench/spans.py traces (test_every_traced_name_exists).
+from .attack import (AttackConfig, _check_mitm_bounds, _m_candidates, anchor_index,  # noqa: F401
+                     approximation_target, run_attack)
+from .rsa import MIN_D_RATIO, GenerationError, keygen_weak
 
 # (bound on r, bound on s) as multiples of D.
 SUCCESS_BOUND_ROWS = (
@@ -23,6 +26,10 @@ SUCCESS_BOUND_ROWS = (
 )
 
 DEFAULT_BOUND_TABLE_ROWS = (512, 768, 1024, 2048)
+
+# A key of success_table, in operations of its bits for workers.ways; see
+# workers.MIN_WORK for the figures behind it.
+KEY_OPS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,9 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
     comparison: a Wiener hit succeeds in every row; otherwise a row succeeds
     when the key's (r, s) at some tried anchor, or its rescue's at m' + 1,
     lies in the row's box.
+
+    Each key, made and searched, is a job of workers.run; the keys go in
+    interleaved shares and their per-row counts are summed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -60,10 +70,10 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
     rng = random.Random(seed)
     # d_ratio is the cap of the operating range d < d_ratio * n^0.25; each
     # trial key gets a secret exponent drawn uniformly below that cap.
-    keys = []
-    for _ in range(trials):
+    draws = []
+    for i in range(trials):
         ratio = max(d_ratio * rng.random(), MIN_D_RATIO)
-        keys.append(keygen_weak(bits, ratio, rng.randrange(1 << 63)))
+        draws.append((i, ratio, rng.randrange(1 << 63)))
     bounds = [(max(1, ceil(r_mult * d_ratio)), max(1, ceil(s_mult * d_ratio)))
               for r_mult, s_mult in SUCCESS_BOUND_ROWS]
     cfg = AttackConfig(
@@ -73,18 +83,41 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
         approx=approx,
         gcd_rows=True,
     )
-    successes = [0] * len(bounds)
-    for pub, _ in keys:
-        for i, hit in enumerate(_rows_recovered(pub, cfg, bounds)):
-            successes[i] += hit
+    # Refused here, before any key is made or any job sent.
+    cfg.validate()
+    _check_mitm_bounds(cfg.r_max, cfg.s_max)
+    ways = workers.ways(trials, KEY_OPS * bits)
+    parts = workers.run(_count_rows, [(bits, draws[i::ways], cfg, bounds)
+                                      for i in range(ways)])
+    errors = [error for _, error in parts if error is not None]
+    if errors:
+        raise min(errors, key=itemgetter(0))[1]  # the one a serial run meets
+    successes = [sum(column) for column in zip(*(counts for counts, _ in parts))]
     return [SuccessRow(r_mult, s_mult, trials, count)
             for (r_mult, s_mult), count in zip(SUCCESS_BOUND_ROWS, successes)]
+
+
+def _count_rows(bits, draws, cfg, bounds):
+    """The successes per row of bounds over the keys of draws, (i, d ratio,
+    key seed) triples in order, and None, or (i, the error) of the first
+    draw i whose key could not be made, which ends the job."""
+    counts = [0] * len(bounds)
+    for i, ratio, key_seed in draws:
+        try:
+            pub, _ = keygen_weak(bits, ratio, key_seed)
+        except (GenerationError, ValueError) as exc:
+            return counts, (i, exc)
+        for j, hit in enumerate(_rows_recovered(pub, cfg, bounds)):
+            counts[j] += hit
+    return counts, None
 
 
 def _rows_recovered(pub, cfg, bounds):
     """Whether each row (R, S) of bounds recovers the key pub, from one
     search at cfg's bounds, which hold every row's, and at most one rescue."""
-    m_prime = anchor_index(pub, cfg.approx)
+    target, bound = approximation_target(pub, cfg.approx)
+    cf = contfrac.expand(target)
+    m_prime = contfrac.locate_m_prime(target, bound, cf)
     result = run_attack(pub, cfg)
     if not result.recovered and m_prime is not None:
         result = _minus_rescue(pub, m_prime, cfg)
@@ -92,8 +125,6 @@ def _rows_recovered(pub, cfg, bounds):
         return [False] * len(bounds)
     if not result.stats.m_tried:
         return [True] * len(bounds)  # the Wiener pass, which every row runs
-    target, bound = approximation_target(pub, cfg.approx)
-    cf = contfrac.expand(target)
     plus = [_rs_at(cf, m, result.d, result.k) for m in _m_candidates(cf, target, bound, cfg)]
     rescue = None
     if m_prime is not None and m_prime + 1 <= len(cf) - 2:

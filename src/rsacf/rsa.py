@@ -4,13 +4,14 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, prod
 from typing import NamedTuple
 
 from .numeric import isqrt
 
-# Deterministic Miller-Rabin witness set, sufficient below 2^64.
-_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin bases that decide every n below 2^64 (J. Sinclair, 2011),
+# a base that n divides being skipped.
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_ROUNDS_BIG = 64
 
 _KEY_NAMES = ("n", "e", "p", "q", "d")
@@ -55,6 +56,21 @@ class Method1Result(NamedTuple):
         return self.reject is None
 
 
+def _primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return tuple(i for i, flag in enumerate(sieve) if flag)
+
+
+_SMALL_PRIMES = _primes_below(1000)
+# The product of the odd primes below 1000: one gcd with it turns away an
+# odd n below 2^64 with a small factor before any Miller-Rabin round.
+_ODD_PRIMORIAL = prod(_SMALL_PRIMES[1:])
+
+
 def _mr_round(n: int, a: int, d: int, r: int) -> bool:
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
@@ -67,20 +83,25 @@ def _mr_round(n: int, a: int, d: int, r: int) -> bool:
 
 
 def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+    """Exact below 2^64; above it, 64 Miller-Rabin rounds with bases drawn
+    from rng (random.Random(n) if None), after trial division by the first
+    twelve primes."""
     if n < 2:
         return False
-    for p in _MR_BASES_64:
-        if n % p == 0:
-            return n == p
+    if n < 1 << 64:
+        if n % 2 == 0 or gcd(n, _ODD_PRIMORIAL) != 1:
+            return n < 1000 and n in _SMALL_PRIMES
+        bases = [a for a in _MR_BASES_64 if a % n]
+    else:
+        for p in _SMALL_PRIMES[:12]:
+            if n % p == 0:
+                return False
+        rng = rng or random.Random(n)
+        bases = [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_BIG)]
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    if n < 1 << 64:
-        bases = _MR_BASES_64
-    else:
-        rng = rng or random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_BIG)]
     return all(_mr_round(n, a, d, r) for a in bases)
 
 

@@ -6,6 +6,11 @@ list longer than one and serve until this process exits. Each reads
 (fn, args) pickles from one pipe and writes (ok, result) pickles to another,
 so fn must be a module-level function. Without os.fork, or on one CPU,
 ways() is 1: every job list has one job, and it runs here.
+
+A job may call run itself. In a worker, and here while a job list is out,
+ways() is 1 and run computes every job here, in order: a worker never
+forks, and an inner list never writes to a busy worker's pipe or reads a
+reply meant for the outer list.
 """
 
 import atexit
@@ -15,11 +20,17 @@ import os
 # A job's round trip through an idle worker's pipes takes about 0.06 ms, and
 # a chain fingerprint sent back about 0.1 us, on 2 vCPUs (CPython 3.11).
 # 2^20 is 1,024 chain steps of 1024 bits, about 6 ms, or about 11,000
-# oracle pairs of 96 bits, about 2.5 ms.
+# oracle pairs of 96 bits, about 2.5 ms. A bench success key (keygen_weak,
+# its search and at most one rescue) is bench.KEY_OPS = 2^11 operations of
+# its bits, 2^18 at 128 bits. Measured serially, one takes about 1 ms at
+# 128 bits and 0.5 ms at 64, so a table splits from 4 keys at 128 bits or 8
+# at 64. The estimate is low for larger keys, about 9 ms at 256 bits and
+# 30 ms at 512, which split from 2 keys anyway.
 MIN_WORK = 1 << 20
 
 _owner = None  # the pid whose workers _workers holds
 _workers = []  # (pid, pipe to it, pipe from it), buffered files
+_inner = False  # in a worker, or here while a job list is out
 _pickle = None  # imported at the first fork; serial runs do not pay for it
 
 
@@ -36,8 +47,9 @@ def _cpus():
 
 def ways(ops, bits):
     """How many parts ops operations on bits-bit operands go in: one below
-    MIN_WORK or without os.fork, else one per CPU, at most ops."""
-    if ops * bits < MIN_WORK or not hasattr(os, "fork"):
+    MIN_WORK, without os.fork or inside a job list, else one per CPU, at
+    most ops."""
+    if _inner or ops * bits < MIN_WORK or not hasattr(os, "fork"):
         return 1
     return min(ops, _cpus())
 
@@ -57,7 +69,7 @@ def _serve(inp, out):
 
 
 def _fork():
-    global _pickle
+    global _pickle, _inner
     import pickle
     import signal  # here, so that the child imports nothing
     _pickle = pickle
@@ -69,6 +81,7 @@ def _fork():
             os.close(fd)
         raise
     if pid == 0:
+        _inner = True
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent answers ^C
             os.close(down[1])
@@ -119,12 +132,13 @@ def run(fn, jobs):
     """[fn(*job) for job in jobs], job 0 here and the others on workers at
     the same time. A worker that dies or raises is a WorkerError; any error
     shuts the workers down, so the next call starts afresh."""
-    if len(jobs) == 1:
-        return [fn(*jobs[0])]
-    global _owner
+    global _owner, _inner
+    if len(jobs) == 1 or _inner:
+        return [fn(*job) for job in jobs]
     if _owner != os.getpid():
         shutdown()
         _owner = os.getpid()
+    _inner = True
     try:
         while len(_workers) < len(jobs) - 1:
             _workers.append(_fork())
@@ -148,3 +162,5 @@ def run(fn, jobs):
     except BaseException:
         shutdown(kill=True)
         raise
+    finally:
+        _inner = False

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from rsacf import bench
+from rsacf import bench, workers
 from rsacf.bench import (
     SUCCESS_BOUND_ROWS,
     bound_table,
@@ -96,6 +96,9 @@ class TestSuccessTable:
     @pytest.mark.parametrize("seed", range(3))
     def test_one_search_and_one_rescue_per_key(self, monkeypatch, seed):
         # Calls per modulus n; a rescue makes one run_attack call itself.
+        # The keys run here, serially: a worker forked earlier would not see
+        # the counting patches.
+        monkeypatch.setattr(workers, "MIN_WORK", float("inf"))
         searches, rescues = Counter(), Counter()
 
         def counted(calls, f):
@@ -110,6 +113,25 @@ class TestSuccessTable:
         assert len(searches) == 16
         assert all(searches[n] - rescues[n] == 1 for n in searches)
         assert max(rescues.values(), default=0) <= 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("args", [
+        GOLDEN_TABLES[8][0],  # plain
+        GOLDEN_TABLES[13][0],  # improved
+        GOLDEN_TABLES[24][0],  # every bound clamped to 1
+        (128, 16, 8, 1, "plain"),  # the CLI's JSON golden
+    ], ids=["plain", "improved", "clamped", "cli-json"])
+    def test_split_rows_match_serial(self, monkeypatch, args, cpus):
+        # 16 keys in 3 shares are uneven (6, 5, 5).
+        bits, d_ratio, trials, seed, approx = args
+        monkeypatch.setattr(workers, "_cpus", lambda: cpus)
+        rows = {}
+        for min_work in (float("inf"), 0):
+            monkeypatch.setattr(workers, "MIN_WORK", min_work)
+            rows[min_work] = success_table(bits, d_ratio, trials, seed, approx=approx)
+        assert workers.ways(trials, bench.KEY_OPS * bits) == cpus
+        assert rows[0] == rows[float("inf")]
+        workers.shutdown()  # the next test forks after its own patches
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Unit tests for key material, weak-key generation, and verification."""
 
+import hashlib
+import random
 from math import gcd
 
 import pytest
@@ -22,6 +24,37 @@ from rsacf.rsa import is_probable_prime, method1_try
 
 TOY = PublicKey(90581, 17993)  # p = 239, q = 379, d = 5, k = 1
 
+# Strong pseudoprimes to the first 1, 2, ..., 9 prime bases, the smallest
+# of each (2047 = 23 * 89 fools base 2, 3825123056546413051 the bases up
+# to 23).
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051)
+
+
+def _mr_twelve_primes(n):
+    """Miller-Rabin with the first twelve prime bases, exact below 2^64."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if any(n % p == 0 for p in bases):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class TestPrimality:
     def test_small_numbers(self):
@@ -32,6 +65,25 @@ class TestPrimality:
     def test_carmichael_numbers(self):
         for n in (561, 1105, 1729, 41041, 825265):
             assert not is_probable_prime(n)
+
+    def test_agrees_with_twelve_bases_below_2_64(self):
+        rng = random.Random(17)
+        ns = [(1 << 64) - 59, (1 << 64) - 1,  # the largest prime below 2^64
+              997 * 997, 1009 * 1013]  # factors at and past the primorial's
+        for bits in range(8, 65):
+            ns += [rng.getrandbits(bits) | 1 << (bits - 1) | 1 for _ in range(200)]
+        primes = [n for n in ns if 16 < n.bit_length() <= 32 and _mr_twelve_primes(n)]
+        ns += [p * q for p, q in zip(primes, primes[1:])]  # no factor below 2^16
+        for n in ns:
+            assert is_probable_prime(n) == _mr_twelve_primes(n), n
+
+    def test_agrees_with_twelve_bases_below_2_14(self):
+        for n in range(1 << 14):
+            assert is_probable_prime(n) == _mr_twelve_primes(n), n
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+    def test_strong_pseudoprimes(self, n):
+        assert not _mr_twelve_primes(n) and not is_probable_prime(n)
 
     def test_large_prime_and_composite(self):
         p = (1 << 127) - 1  # Mersenne prime
@@ -87,6 +139,24 @@ class TestKeygenWeak:
         assert priv.d % 2 == 1
         root4 = isqrt(isqrt(pub.n))
         assert max(3, 0.9 * ratio * root4) - 1 <= priv.d <= 1.1 * ratio * root4
+
+    # The first 32 hex digits of the SHA-256 of repr([(n, e, p, q, d), ...])
+    # over seeds 0 and 0xC0FFEE and d ratios 0.5 and 16, as generated before
+    # the primality test below 2^64 changed from twelve prime bases to
+    # Sinclair's seven.
+    @pytest.mark.parametrize("bits, digest", [
+        (32, "664d0ca05974cb2397387a6a1cb05264"),
+        (64, "cb0a351ecf191171016874907531ea39"),
+        (96, "8cc27c4f5a5c381f128da3d381a8c4c2"),
+        (128, "3a22c76d51da4f95af1d6f85e02e1bf0"),
+        (256, "6aa4c4fa2f925e931e51898142b5d4e9"),
+        (512, "07fd7b3e424b6692269f4b4de5afa5f7"),
+        (1024, "9708f9a13dd3dc0d78ef60a5d0b17322"),
+    ])
+    def test_keys_unchanged(self, bits, digest):
+        keys = [keygen_weak(bits, ratio, seed) for seed in (0, 0xC0FFEE) for ratio in (0.5, 16)]
+        text = repr([(pub.n, pub.e, priv.p, priv.q, priv.d) for pub, priv in keys])
+        assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
 
     def test_deterministic(self):
         assert keygen_weak(96, 4, 7) == keygen_weak(96, 4, 7)

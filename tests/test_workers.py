@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsacf import AttackConfig, PublicKey, approximation_target, contfrac, keygen_weak
-from rsacf import attack, run_attack, workers, write_key
+from rsacf import AttackConfig, GenerationError, PublicKey, approximation_target, contfrac
+from rsacf import attack, bench, keygen_weak, run_attack, workers, write_key
 from rsacf.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -196,14 +196,14 @@ def _cli_attack(tmp_path, capsys):
     return code, captured.out, captured.err
 
 
-def _in_worker(act):
-    """A power_chain_fps that does act() when called in a worker."""
-    parent, chain = os.getpid(), attack.power_chain_fps
+def _in_worker(act, fn):
+    """fn, doing act() first when called in a worker."""
+    parent = os.getpid()
 
     def patched(*args):
         if os.getpid() != parent:
             act()
-        return chain(*args)
+        return fn(*args)
     return patched
 
 
@@ -220,7 +220,7 @@ def _raise():
     ids=["killed", "raises"])
 def test_worker_failure_exits_2(tmp_path, capsys, monkeypatch, act, says):
     monkeypatch.setattr(workers, "_cpus", lambda: 2)
-    monkeypatch.setattr(attack, "power_chain_fps", _in_worker(act))
+    monkeypatch.setattr(attack, "power_chain_fps", _in_worker(act, attack.power_chain_fps))
     code, out, err = _cli_attack(tmp_path, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("rsacf: worker ") and says in err
@@ -229,6 +229,119 @@ def test_worker_failure_exits_2(tmp_path, capsys, monkeypatch, act, says):
     monkeypatch.undo()  # the next run forks sound workers
     code, out, err = _cli_attack(tmp_path, capsys)
     assert (code, out, err) == (1, "", "exhausted\n")
+
+
+def _cli_bench(capsys, *flags):
+    code = main(["bench", "success", "--bits", "128", "--d-ratio", "16", "--trials", "8",
+                 "--seed", "1", "--json", *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _serial_bench(capsys, monkeypatch, *flags):
+    with monkeypatch.context() as mp:
+        mp.setattr(workers, "MIN_WORK", float("inf"))
+        return _cli_bench(capsys, *flags)
+
+
+@pytest.mark.parametrize("act, says", [
+    (_kill_self, "died (EOFError)"), (_raise, "raised ZeroDivisionError: in a job")],
+    ids=["killed", "raises"])
+def test_bench_worker_failure_exits_2(capsys, monkeypatch, act, says):
+    want = _serial_bench(capsys, monkeypatch)
+    assert want[0] == 0
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
+    monkeypatch.setattr(bench, "keygen_weak", _in_worker(act, bench.keygen_weak))
+    code, out, err = _cli_bench(capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("rsacf: worker ") and says in err
+    assert "Traceback" not in err
+    assert workers._workers == []
+    monkeypatch.undo()  # the next run forks sound workers
+    assert _cli_bench(capsys) == want
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_bench_keygen_error_is_the_serial_runs(capsys, monkeypatch, cpus):
+    # Draws 5 and 6 fail. Split 2 ways, this process meets draw 6 and the
+    # worker draw 5; split 3 ways, draw 6 and draw 5 on the second worker.
+    # A serial run stops at draw 5, and so must every split.
+    seeds, keygen = [], bench.keygen_weak
+
+    def recorded(bits, ratio, seed):
+        seeds.append(seed)
+        return keygen(bits, ratio, seed)
+
+    def failing(bits, ratio, seed):
+        if seed in seeds[5:7]:
+            raise GenerationError(f"no key for seed {seed}")
+        return keygen(bits, ratio, seed)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bench, "keygen_weak", recorded)
+        assert _serial_bench(capsys, monkeypatch)[0] == 0
+    assert len(seeds) == 8
+    monkeypatch.setattr(bench, "keygen_weak", failing)
+    want = (2, "", f"rsacf: no key for seed {seeds[5]}\n")
+    assert _serial_bench(capsys, monkeypatch) == want
+    monkeypatch.setattr(workers, "_cpus", lambda: cpus)
+    assert workers.ways(8, bench.KEY_OPS * 128) == cpus
+    assert _cli_bench(capsys) == want
+    assert len(workers._workers) == cpus - 1
+
+
+def test_bench_cap_refused_before_any_job(capsys, monkeypatch):
+    # The same line as a serial run, before any key is made or worker forked.
+    def no_key(*args):
+        raise AssertionError("a key was made")
+
+    monkeypatch.setattr(bench, "keygen_weak", no_key)
+    flags = ("--bits", "64", "--d-ratio", "1e7")
+    want = _serial_bench(capsys, monkeypatch, *flags)
+    assert want[:2] == (2, "") and "exceed the cap" in want[2]
+    monkeypatch.setattr(workers, "MIN_WORK", 0)
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
+    assert _cli_bench(capsys, *flags) == want
+    assert workers._workers == []
+
+
+NESTED = """
+import os
+from rsacf import bench, workers
+
+here, forks, fork = os.getpid(), [], workers._fork
+
+
+def checked_fork():
+    if os.getpid() != here:
+        raise AssertionError("a worker forked")
+    forks.append(1)
+    return fork()
+
+
+workers._fork = checked_fork
+workers._cpus = lambda: 2
+args = (512, 16, 6, 3)
+workers.MIN_WORK = float("inf")
+serial = bench.success_table(*args)
+workers.MIN_WORK = 0
+assert workers.ways(2, 512) == 2  # a window's chain segments would split
+assert bench.success_table(*args) == serial, "split rows differ"
+assert len(forks) == 1, forks
+assert any(0 < row.successes < row.trials for row in serial), serial
+print("ok")
+"""
+
+
+def test_nested_job_lists_run_serially():
+    # Each key is a job, and its windows call run too. A job in this process
+    # must not use the busy worker's pipes, and a worker must not fork;
+    # either would hang or mix up replies, hence the timeout.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", NESTED], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
 def test_cli_run_leaves_no_process(tmp_path):
