@@ -5,7 +5,9 @@ __version__ = "0.1.0"
 from .attack import (
     AttackConfig,
     AttackResult,
+    KeyContext,
     approximation_target,
+    key_context,
     run_attack,
     vvt_exhaustive,
     wiener_classic,
@@ -28,7 +30,9 @@ from .rsa import (
 __all__ = [
     "AttackConfig",
     "AttackResult",
+    "KeyContext",
     "approximation_target",
+    "key_context",
     "run_attack",
     "vvt_exhaustive",
     "wiener_classic",

@@ -1,7 +1,7 @@
 """Attack engines: classic Wiener, exhaustive (r, s) search, meet-in-the-middle.
 
-All engines share a cheap convergent pre-pass: a hit there is free relative
-to a table build. The exhaustive engine doubles as the testing oracle for
+All engines share a key's set-up, made once per key (KeyContext), and its
+cheap convergent pre-pass: a hit there is free relative to a table build. The exhaustive engine doubles as the testing oracle for
 the meet-in-the-middle one.
 """
 
@@ -17,7 +17,7 @@ from operator import indexOf, mod
 from . import contfrac, workers
 from .mitm_table import ROW_MODULUS, FingerprintTable, fingerprint_width, power_chain_fps
 from .numeric import isqrt, mod_inv, mod_pow
-from .rsa import PublicKey, method1_factor, method1_try
+from .rsa import PublicKey, method1_factor, method1_remainder, method1_try
 
 VARIANTS = ("wiener", "vvt", "mitm")
 BOUND_MODES = ("explicit", "fixed4d", "quotient")
@@ -95,6 +95,11 @@ class Stats:
     x.bit_length() - 1 squares and popcount(x) - 1 multiplies. A mod_inv,
     an extended Euclid rather than a chain of products, is charged as one;
     at 128 to 1024 bits it takes about the time of 30 to 50.
+
+    method1_trials counts factor-recovery attempts: the Wiener pass of the
+    key's context (KeyContext.wiener_trials), which every search of the key
+    is charged although the context makes it once, then the window's, one
+    per mitm match tried and the vvt scan's closed-form count.
     """
 
     modmuls: int = 0
@@ -136,16 +141,66 @@ def approximation_target(pub: PublicKey, mode: str = "plain"):
     return Fraction(e, n + 1 - two_root), bound
 
 
+@dataclass(frozen=True)
+class KeyContext:
+    """The set-up of one key under one approximation target, made once
+    (key_context) and shared by every search of the key: the target and its
+    error bound, the target's expansion, the anchor index m' or None, and
+    the Wiener pass over the expansion, (d, k, p, q) of its recovery or
+    None, with its trial count."""
+
+    pub: PublicKey
+    approx: str
+    target: Fraction
+    bound: Fraction
+    cf: contfrac.ContFrac
+    m_prime: int | None
+    wiener: tuple | None
+    wiener_trials: int
+
+
+def _wiener_pass(n, e, cf):
+    """(hit, trials): the first convergent p_i/q_i of cf, tried as
+    (k, d) = (p_i, q_i) in order and skipped when p_i < 1, that factors n,
+    as (d, k, p, q) or None, and the number tried.
+
+    With D_i = e*q_i - n*p_i, the check needs only (n, p_i, D_i)
+    (method1_remainder), and D_i follows the convergents' recurrence,
+    D_i = a_i*D_{i-1} + D_{i-2} from D_{-2} = e and D_{-1} = -n: for the
+    plain target e/n it is, up to sign and gcd(e, n), a remainder of the
+    expansion's own Euclid, so no product as wide as d*e is formed.
+    """
+    trials = 0
+    d1, d0 = -n, e  # D_{i-1}, D_{i-2}
+    for a, (k, d) in zip(cf.quotients, cf.convergents):
+        d1, d0 = a * d1 + d0, d1
+        if k < 1:
+            continue  # q_i >= 1 at every i >= 0
+        trials += 1
+        got = method1_remainder(n, k, d1)
+        if got.reject is None:
+            return (d, k, got.p, got.q), trials
+    return None, trials
+
+
+def key_context(pub: PublicKey, approx: str = "plain") -> KeyContext:
+    """The key's set-up under the approx target; see KeyContext."""
+    target, bound = approximation_target(pub, approx)
+    cf = contfrac.expand(target)
+    m_prime = contfrac.locate_m_prime(target, bound, cf)
+    return KeyContext(pub, approx, target, bound, cf, m_prime,
+                      *_wiener_pass(pub.n, pub.e, cf))
+
+
 def anchor_index(pub: PublicKey, approx: str = "plain"):
     """The attack's anchor index m' for this key, or None."""
-    target, bound = approximation_target(pub, approx)
-    return contfrac.locate_m_prime(target, bound, contfrac.expand(target))
+    return key_context(pub, approx).m_prime
 
 
 def _first_recovered(pub, pairs, stats):
-    """Try the (k, d) pairs in order, skipping any with k < 1 or d < 1, and
-    return the first recovery as an AttackResult, or None. Counts one
-    method1 trial per pair tried."""
+    """Try the (k, d) pairs of a window's matches in order, skipping any
+    with k < 1 or d < 1, with method1_factor, and return the first recovery
+    as an AttackResult, or None. Counts one method1 trial per pair tried."""
     for k, d in pairs:
         if k < 1 or d < 1:
             continue
@@ -161,15 +216,15 @@ def wiener_classic(pub: PublicKey) -> AttackResult:
     return run_attack(pub, AttackConfig(variant="wiener"))
 
 
-def _m_candidates(cf, target, bound, cfg):
+def _m_candidates(context, cfg):
     """The anchor indices a search with cfg tries, in order; bench answers
     its success rows from the same list."""
     if cfg.variant == "wiener":
         return []  # the Wiener pass alone
-    top = len(cf) - 2  # need convergent m+1
+    top = len(context.cf) - 2  # need convergent m+1
     if cfg.m_candidates is not None:
         return [m for m in cfg.m_candidates if -1 <= m <= top]
-    m_prime = contfrac.locate_m_prime(target, bound, cf)
+    m_prime = context.m_prime
     if m_prime is None:
         return list(range(-1, top + 1))
     return [m for m in (m_prime, m_prime + 1, m_prime + 2) if m <= top]
@@ -192,47 +247,37 @@ def _bounds_for(cfg, cf, m):
                          f" (d_ratio {cfg.d_ratio!r})") from None
 
 
-def _anchor_search(pub, cfg, window):
-    """The loop every engine shares: the Wiener pass over the target's
-    convergents, then per anchor index m window(pub, cfg, p0, q0, p1, q1,
-    r_max, s_max, stats, shared, keep), which searches the (r, s) window
-    around convergents m and m + 1, bar the corners r = 1, s = 0 and
-    r = 0, s = 1 that the Wiener pass tried, and returns (an AttackResult
-    or None, shared). When anchor m + 1 is searched next, keep is its
-    s_max, and the shared that window m returns, or None, is handed to it;
-    otherwise keep is 0 and the next window gets None. An even n splits as
-    2 * (n // 2) before any search."""
-    cfg.validate()
-    stats = Stats()
-    t0 = time.perf_counter()
-    try:
-        if pub.n % 2 == 0:
-            return AttackResult("gcd-break", p=2, q=pub.n // 2, stats=stats)
-        target, bound = approximation_target(pub, cfg.approx)
-        cf = contfrac.expand(target)
-        result = _first_recovered(pub, cf.convergents, stats)
+def _anchor_windows(context, cfg, window, stats):
+    """The loop every engine shares, over the key's context: the context's
+    Wiener pass, charged to stats, then per anchor index m window(pub, cfg,
+    p0, q0, p1, q1, r_max, s_max, stats, shared, keep), which searches the
+    (r, s) window around convergents m and m + 1, bar the corners r = 1,
+    s = 0 and r = 0, s = 1 that the Wiener pass tried, and returns (an
+    AttackResult or None, shared). When anchor m + 1 is searched next, keep
+    is its s_max, and the shared that window m returns, or None, is handed
+    to it; otherwise keep is 0 and the next window gets None."""
+    stats.method1_trials += context.wiener_trials
+    if context.wiener is not None:
+        return AttackResult("recovered", *context.wiener, stats)
+    pub, cf = context.pub, context.cf
+    ms = _m_candidates(context, cfg)
+    shared = None
+    for i, m in enumerate(ms):
+        stats.m_tried += 1
+        p0, q0 = cf.convergent(m)
+        p1, q1 = cf.convergent(m + 1)
+        r_max, s_max = _bounds_for(cfg, cf, m)
+        keep = 0
+        if ms[i + 1:i + 2] == [m + 1]:
+            try:
+                keep = _bounds_for(cfg, cf, m + 1)[1]
+            except ValueError:
+                pass  # raised again when anchor m + 1 is reached
+        result, shared = window(
+            pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep)
         if result is not None:
             return result
-        ms = _m_candidates(cf, target, bound, cfg)
-        shared = None
-        for i, m in enumerate(ms):
-            stats.m_tried += 1
-            p0, q0 = cf.convergent(m)
-            p1, q1 = cf.convergent(m + 1)
-            r_max, s_max = _bounds_for(cfg, cf, m)
-            keep = 0
-            if ms[i + 1:i + 2] == [m + 1]:
-                try:
-                    keep = _bounds_for(cfg, cf, m + 1)[1]
-                except ValueError:
-                    pass  # raised again when anchor m + 1 is reached
-            result, shared = window(
-                pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep)
-            if result is not None:
-                return result
-        return AttackResult("exhausted", stats=stats)
-    finally:
-        stats.wall_time = time.perf_counter() - t0
+    return AttackResult("exhausted", stats=stats)
 
 
 def _prime_divisors(s, limit):
@@ -593,6 +638,24 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
 _WINDOWS = {"vvt": _scan_window, "mitm": _mitm_window}
 
 
-def run_attack(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
-    """The engine that cfg.variant names; wiener searches no window."""
-    return _anchor_search(pub, cfg, _WINDOWS.get(cfg.variant))
+def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = None
+               ) -> AttackResult:
+    """The engine that cfg.variant names; wiener searches no window.
+
+    context is the key's set-up under cfg.approx (key_context), made here
+    when None; a caller that searches one key more than once passes its
+    own. An even n splits as 2 * (n // 2) before any set-up or search.
+    """
+    cfg.validate()
+    stats = Stats()
+    t0 = time.perf_counter()
+    try:
+        if pub.n % 2 == 0:
+            return AttackResult("gcd-break", p=2, q=pub.n // 2, stats=stats)
+        if context is None:
+            context = key_context(pub, cfg.approx)
+        elif (context.pub, context.approx) != (pub, cfg.approx):
+            raise ValueError("the key context is of another key or approximation target")
+        return _anchor_windows(context, cfg, _WINDOWS.get(cfg.variant), stats)
+    finally:
+        stats.wall_time = time.perf_counter() - t0

@@ -5,11 +5,11 @@ from dataclasses import dataclass, replace
 from math import ceil, isfinite
 from operator import itemgetter
 
-from . import contfrac, workers
+from . import workers
 # anchor_index is not called here. It stays importable as bench.anchor_index,
 # a name perfbench/spans.py traces (test_every_traced_name_exists).
 from .attack import (AttackConfig, _check_mitm_bounds, _m_candidates, anchor_index,  # noqa: F401
-                     approximation_target, run_attack)
+                     key_context, run_attack)
 from .rsa import MIN_D_RATIO, GenerationError, keygen_weak
 
 # (bound on r, bound on s) as multiples of D.
@@ -114,18 +114,18 @@ def _count_rows(bits, draws, cfg, bounds):
 
 def _rows_recovered(pub, cfg, bounds):
     """Whether each row (R, S) of bounds recovers the key pub, from one
-    search at cfg's bounds, which hold every row's, and at most one rescue."""
-    target, bound = approximation_target(pub, cfg.approx)
-    cf = contfrac.expand(target)
-    m_prime = contfrac.locate_m_prime(target, bound, cf)
-    result = run_attack(pub, cfg)
+    search at cfg's bounds, which hold every row's, and at most one rescue,
+    both over one key context."""
+    context = key_context(pub, cfg.approx)
+    cf, m_prime = context.cf, context.m_prime
+    result = run_attack(pub, cfg, context)
     if not result.recovered and m_prime is not None:
-        result = _minus_rescue(pub, m_prime, cfg)
+        result = _minus_rescue(context, cfg)
     if not result.recovered:
         return [False] * len(bounds)
     if not result.stats.m_tried:
         return [True] * len(bounds)  # the Wiener pass, which every row runs
-    plus = [_rs_at(cf, m, result.d, result.k) for m in _m_candidates(cf, target, bound, cfg)]
+    plus = [_rs_at(cf, m, result.d, result.k) for m in _m_candidates(context, cfg)]
     rescue = None
     if m_prime is not None and m_prime + 1 <= len(cf) - 2:
         rescue = _rs_at(cf, m_prime + 1, result.d, result.k)
@@ -143,21 +143,24 @@ def _rs_at(cf, m, d, k):
     return (d * p0 - k * q0) * det, (q1 * k - p1 * d) * det
 
 
-def _minus_rescue(pub, m_prime, cfg):
-    """The rescue of the bounds cfg: one mitm run at the middle window index
-    m' + 1 with the bounds swapped, as an AttackResult.
+def _minus_rescue(context, cfg):
+    """The rescue of the bounds cfg for the key of context, whose m' is not
+    None: one mitm run at the middle window index m' + 1 with the bounds
+    swapped, as an AttackResult.
 
     The candidate family behind the reference table pairs the plus form
     d = r*q_{m+1} + s*q_m over the whole window with a minus form anchored
     at m' + 1 in which the s bound limits the coefficient of the larger
     convergent, i.e. d = r'*q_{m'+2} - s'*q_{m'+1} with r' <= s_max and
-    s' <= r_max. The run makes its own Wiener pass, then at m' + 1 searches
-    the plus and the minus stream, both with the swapped bounds.
-    success_table runs it at most once per key, at the largest row bounds.
+    s' <= r_max. The run takes the key's Wiener pass from context, which
+    the search before it shares, so it makes none of its own and only
+    counts its trials; then at m' + 1 it searches the plus and the minus
+    stream, both with the swapped bounds. success_table runs it at most
+    once per key, at the largest row bounds.
     """
-    return run_attack(pub, replace(
+    return run_attack(context.pub, replace(
         cfg, r_max=cfg.s_max, s_max=cfg.r_max, probe_minus_form=True,
-        m_candidates=(m_prime + 1,)))
+        m_candidates=(context.m_prime + 1,)), context)
 
 
 def bound_table(rows=DEFAULT_BOUND_TABLE_ROWS):

@@ -153,23 +153,28 @@ def keygen_weak(modulus_bits: int, d_ratio, seed: int):
     raise GenerationError("could not generate a key within the retry budget")
 
 
-# Reject outcomes of method1_try, built once: the exhaustive scan rejects
-# almost every pair it tries, so it must not allocate per reject.
+# Reject outcomes of the factor check, built once: the exhaustive scan and
+# the Wiener pass reject almost every pair they try, so a reject must not
+# allocate.
 _INEXACT_PHI = Method1Result(None, None, "inexact-phi")
 _NEGATIVE_SUM = Method1Result(None, None, "negative-sum")
 _NON_SQUARE = Method1Result(None, None, "non-square")
 _PRODUCT_MISMATCH = Method1Result(None, None, "product-mismatch")
 
 
-def method1_try(n: int, e: int, d: int, k: int) -> Method1Result:
-    """Factor n assuming (d, k) is the true exponent pair, k >= 1.
+def method1_remainder(n: int, k: int, rem: int) -> Method1Result:
+    """Factor n assuming k, k >= 1, is the true k of a pair (d, k) with
+    d*e - k*n = rem.
 
-    Returns (p, q, None) with p * q == n, or (None, None, reject stage).
+    Then d*e - 1 = k*n + rem - 1, so k divides d*e - 1 exactly when it
+    divides rem - 1, and n + 1 - (d*e - 1)/k, the would-be p + q, is
+    1 - (rem - 1)/k: the check needs neither d nor e, only numbers of
+    about the size of rem and k. Returns (p, q, None) with p * q == n, or
+    (None, None, reject stage).
     """
-    t = d * e - 1
-    if t % k:
+    if (rem - 1) % k:
         return _INEXACT_PHI
-    psum = n + 1 - t // k
+    psum = 1 - (rem - 1) // k
     if psum < 0:
         return _NEGATIVE_SUM
     disc = psum * psum - 4 * n
@@ -183,6 +188,14 @@ def method1_try(n: int, e: int, d: int, k: int) -> Method1Result:
     if p <= 1 or p * q != n:
         return _PRODUCT_MISMATCH
     return Method1Result(p, q, None)
+
+
+def method1_try(n: int, e: int, d: int, k: int) -> Method1Result:
+    """Factor n assuming (d, k) is the true exponent pair, k >= 1.
+
+    Returns (p, q, None) with p * q == n, or (None, None, reject stage).
+    """
+    return method1_remainder(n, k, d * e - k * n)
 
 
 def method1_factor(pub: PublicKey, d_cand: int, k_cand: int) -> Method1Result:

@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, prod
 
@@ -20,7 +21,8 @@ from rsacf import (
 )
 from rsacf import attack, contfrac
 from rsacf.attack import APPROX_MODES, BOUND_MODES, VARIANTS, anchor_index
-from rsacf.rsa import is_probable_prime, method1_try
+from rsacf.numeric import isqrt
+from rsacf.rsa import is_probable_prime, method1_remainder, method1_try
 
 TOY = PublicKey(90581, 17993)  # p = 239, q = 379, d = 5, k = 1
 
@@ -105,6 +107,53 @@ def _convergents(target):
     return out
 
 
+
+def _method1_reference(n, e, d, k):
+    """The factor check of (d, k), k >= 1, from d*e - 1 itself: (p, q), or
+    the reject tag method1_try gives."""
+    t = d * e - 1
+    if t % k:
+        return "inexact-phi"
+    psum = n + 1 - t // k
+    if psum < 0:
+        return "negative-sum"
+    disc = psum * psum - 4 * n
+    root = isqrt(disc) if disc >= 0 else -1
+    if root * root != disc:
+        return "non-square"
+    p, q = (psum - root) // 2, (psum + root) // 2
+    if p <= 1 or p * q != n:
+        return "product-mismatch"
+    return p, q
+
+
+def _check_wiener_pass(pub):
+    """Hold each target's key context to the factor check of d*e - 1 at
+    every convergent (k, d), and its Wiener pass to those checks in order;
+    return the outcomes and cases met."""
+    n, e = pub.n, pub.e
+    cases = set()
+    for approx in APPROX_MODES:
+        context = attack.key_context(pub, approx)
+        hit, trials = None, 0
+        for k, d in context.cf.convergents:
+            if k < 1 or d < 1:
+                continue
+            rem = d * e - k * n
+            got = method1_remainder(n, k, rem)
+            want = _method1_reference(n, e, d, k)
+            assert (got.reject or (got.p, got.q)) == want
+            assert method1_try(n, e, d, k) == got
+            cases.add(want if isinstance(want, str) else "factored")
+            if k > abs(rem - 1):
+                cases.add("k > |D - 1|")
+            if hit is None:
+                trials += 1
+                if got.ok:
+                    hit = d, k, got.p, got.q
+        assert (context.wiener, context.wiener_trials) == (hit, trials)
+    return cases
+
 class TestApproximationTarget:
     def test_plain(self):
         target, bound = approximation_target(TOY, "plain")
@@ -169,6 +218,60 @@ class TestWienerClassic:
         pub, _ = keygen_weak(64, 776.0, 0)
         assert wiener_classic(pub).outcome == "exhausted"
 
+
+
+class TestKeyContext:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(bits=st.integers(64, 512), log_d=st.floats(-4, 20),
+           seed=st.integers(0, (1 << 63) - 1))
+    @example(bits=64, log_d=-4, seed=0)  # recovered by the Wiener pass
+    @example(bits=512, log_d=20, seed=1)
+    def test_wiener_pass_matches_the_factor_check(self, bits, log_d, seed):
+        pub, priv = keygen_weak(bits, 2.0**log_d, seed)
+        _check_wiener_pass(pub)
+        # e > n: the same d, with k grown by d * (n // phi + 1).
+        _check_wiener_pass(PublicKey(pub.n, pub.e + (pub.n // priv.phi + 1) * priv.phi))
+
+    def test_wiener_pass_cases(self):
+        rng = random.Random(18)
+        cases = set()
+        for _ in range(8):
+            primes = []
+            while len(primes) < 3:
+                p = rng.getrandbits(40) | 1 << 39 | 1
+                if is_probable_prime(p) and p not in primes:
+                    primes.append(p)
+            phi = prod(p - 1 for p in primes)
+            d = rng.randrange(3, 1 << 20) | 1
+            while gcd(d, phi) != 1:
+                d += 2
+            cases |= _check_wiener_pass(_key(primes, d))
+        cases |= _check_wiener_pass(TOY)
+        assert cases >= {"factored", "inexact-phi", "negative-sum", "non-square",
+                         "k > |D - 1|"}, cases
+
+    def test_context_is_the_keys_setup(self):
+        pub, _ = keygen_weak(96, 2**20, 123)
+        for approx in APPROX_MODES:
+            context = attack.key_context(pub, approx)
+            target, bound = approximation_target(pub, approx)
+            assert (context.pub, context.approx) == (pub, approx)
+            assert (context.target, context.bound) == (target, bound)
+            assert context.cf == contfrac.expand(target)
+            assert context.m_prime == contfrac.locate_m_prime(target, bound)
+            assert context.m_prime == anchor_index(pub, approx)
+
+    def test_run_attack_refuses_another_keys_context(self):
+        pub, _ = keygen_weak(96, 16, 0)
+        other, _ = keygen_weak(96, 16, 1)
+        cfg = AttackConfig(r_max=64, s_max=64)
+        with pytest.raises(ValueError, match="context"):
+            run_attack(pub, cfg, attack.key_context(other))
+        with pytest.raises(ValueError, match="context"):
+            run_attack(pub, cfg, attack.key_context(pub, "improved"))
+        res = run_attack(pub, cfg, attack.key_context(pub))
+        assert (res.outcome, res.stats) == ("recovered", replace(
+            run_attack(pub, cfg).stats, wall_time=res.stats.wall_time))
 
 class TestVvtExhaustive:
     def test_extends_wiener(self):
@@ -336,12 +439,12 @@ class TestQuotientBounds:
                     pub, priv = keygen_weak(rng.choice((96, 128, 192, 256)), D,
                                             rng.randrange(1 << 63))
                     d, k = priv.d, (pub.e * priv.d - 1) // priv.phi
-                    target, bound = approximation_target(pub, approx)
-                    cf = contfrac.expand(target)
+                    context = attack.key_context(pub, approx)
+                    cf = context.cf
                     if (k, d) in cf.convergents:
                         continue
                     fractions = []
-                    for m in attack._m_candidates(cf, target, bound, cfg):
+                    for m in attack._m_candidates(context, cfg):
                         (p0, q0), (p1, q1) = cf.convergent(m), cf.convergent(m + 1)
                         det = q1 * p0 - q0 * p1
                         r, s = (d * p0 - k * q0) * det, (q1 * k - p1 * d) * det
@@ -405,9 +508,9 @@ class TestMitmAttack:
                            gcd_rows=gcd_rows, probe_minus_form=minus_form)
         # Keep the oracle's quadratic work small: at most 2^14 (r, s) pairs
         # over all anchors tried.
-        target, bound = approximation_target(pub, approx)
-        cf = contfrac.expand(target)
-        anchors = attack._m_candidates(cf, target, bound, cfg)
+        context = attack.key_context(pub, approx)
+        cf = context.cf
+        anchors = attack._m_candidates(context, cfg)
         assume(sum(r * s for r, s in (attack._bounds_for(cfg, cf, m) for m in anchors))
                <= 1 << 14)
         oracle, mitm = vvt_exhaustive(pub, cfg), run_attack(pub, cfg)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from rsacf import bench, workers
+from rsacf import attack, bench, contfrac, workers
 from rsacf.bench import (
     SUCCESS_BOUND_ROWS,
     bound_table,
@@ -46,6 +46,9 @@ GOLDEN_TABLES = [
     ((96, 8, 16, 0, 'plain'), [15, 13, 10, 13, 12, 11, 9, 9, 4]),
     ((96, 8, 16, 1, 'improved'), [16, 16, 16, 16, 16, 16, 16, 15, 16]),
 ]
+
+# Rescues of success_table(128, 16, 16, seed), seed = 0..9: 22 over 160 keys.
+RESCUES = (2, 1, 3, 2, 2, 0, 6, 2, 1, 3)
 
 
 class TestBoundTable:
@@ -93,26 +96,46 @@ class TestSuccessTable:
         rows = success_table(bits, d_ratio, trials, seed, approx=approx)
         assert [row.successes for row in rows] == successes
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(len(RESCUES)))
     def test_one_search_and_one_rescue_per_key(self, monkeypatch, seed):
-        # Calls per modulus n; a rescue makes one run_attack call itself.
-        # The keys run here, serially: a worker forked earlier would not see
-        # the counting patches.
+        # Per modulus n: one key context, so one expansion and one Wiener
+        # pass; one search over it, and at most one rescue, which takes the
+        # same context, makes one run_attack call itself and no expansion
+        # or Wiener pass. The keys run here, serially: a worker forked
+        # earlier would not see the counting patches.
         monkeypatch.setattr(workers, "MIN_WORK", float("inf"))
-        searches, rescues = Counter(), Counter()
+        searches, rescues, passes = Counter(), Counter(), Counter()
+        expansions, contexts = [], {}
+        search, rescue = bench.run_attack, bench._minus_rescue
+        expand, wiener_pass = contfrac.expand, attack._wiener_pass
 
-        def counted(calls, f):
-            def wrapper(pub, *args, **kwargs):
-                calls[pub.n] += 1
-                return f(pub, *args, **kwargs)
-            return wrapper
+        def counted_search(pub, cfg, context=None):
+            searches[pub.n] += 1
+            assert context is contexts.setdefault(pub.n, context) is not None
+            return search(pub, cfg, context)
 
-        monkeypatch.setattr(bench, "run_attack", counted(searches, bench.run_attack))
-        monkeypatch.setattr(bench, "_minus_rescue", counted(rescues, bench._minus_rescue))
+        def counted_rescue(context, cfg):
+            rescues[context.pub.n] += 1
+            before = len(expansions), passes.total()
+            result = rescue(context, cfg)
+            assert (len(expansions), passes.total()) == before
+            return result
+
+        def counted_pass(n, e, cf):
+            passes[n] += 1
+            return wiener_pass(n, e, cf)
+
+        monkeypatch.setattr(bench, "run_attack", counted_search)
+        monkeypatch.setattr(bench, "_minus_rescue", counted_rescue)
+        monkeypatch.setattr(contfrac, "expand", lambda x: expansions.append(x) or expand(x))
+        monkeypatch.setattr(attack, "_wiener_pass", counted_pass)
         success_table(128, 16, 16, seed)
         assert len(searches) == 16
         assert all(searches[n] - rescues[n] == 1 for n in searches)
         assert max(rescues.values(), default=0) <= 1
+        assert rescues.total() == RESCUES[seed]
+        assert len(expansions) == 16
+        assert passes == Counter(dict.fromkeys(searches, 1))
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("args", [

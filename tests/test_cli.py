@@ -3,9 +3,11 @@
 import io
 import json
 import shlex
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -177,6 +179,44 @@ def test_attack_stdout_golden(tmp_path, capsys, key_args, flags):
     k = (pub.e * priv.d - 1) // priv.phi
     assert code == 0
     assert out == f"d = {priv.d:x}\nk = {k:x}\np = {priv.p:x}\nq = {priv.q:x}\n"
+
+
+# The --stats counters of each GOLDEN attack, every one but wall_time:
+# (modmuls, probes, collisions, method1_trials, table_bytes, rows_examined,
+# rows_skipped, m_tried). table_bytes is measured with sys.getsizeof, whose
+# figures for the same dict and array depend on the CPython version: these
+# were read under 3.11 to 3.13 (3.10 reads 8 to 16 B more), so a nonzero
+# table_bytes is compared under those versions only.
+GOLDEN_STATS = [
+    (0, 0, 0, 9, 0, 0, 0, 0),
+    (0, 0, 0, 76, 0, 0, 0, 1),
+    (338, 64, 0, 62, 6248, 0, 0, 1),
+    (301, 64, 0, 54, 3472, 0, 0, 2),
+    (0, 0, 0, 378, 0, 0, 0, 2),
+    (0, 0, 0, 17, 0, 0, 0, 0),
+    (264, 32, 0, 64, 3232, 621, 339, 1),
+    (248, 16, 0, 51, 1736, 0, 0, 1),
+    (290, 27, 0, 51, 5228, 0, 0, 1),
+    (0, 0, 0, 21, 0, 0, 0, 0),
+    (219, 24, 0, 35, 1184, 0, 0, 3),
+    (0, 0, 0, 13, 0, 0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("key_args, flags, counters", [
+    (key_args, flags, counters) for (key_args, flags), counters in zip(GOLDEN, GOLDEN_STATS)])
+def test_attack_stats_golden(tmp_path, capsys, key_args, flags, counters):
+    key = tmp_path / "pub.txt"
+    write_key(key, keygen_weak(*key_args)[0])
+    _, _, err = run(capsys, "attack", "--key", str(key), *flags, "--stats")
+    line, = [line for line in err.splitlines() if line.startswith("stats: ")]
+    names = [f.name for f in fields(attack.Stats) if f.name != "wall_time"]
+    got = dict(field.split("=") for field in line.split()[1:-1])
+    assert list(got) == names
+    want = dict(zip(names, map(str, counters)))
+    if not (3, 11) <= sys.version_info[:2] <= (3, 13) and want["table_bytes"] != "0":
+        del got["table_bytes"], want["table_bytes"]
+    assert got == want
 
 
 def _assert_input_error(code, out, err):
