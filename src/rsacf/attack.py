@@ -1,8 +1,9 @@
 """Attack engines: classic Wiener, exhaustive (r, s) search, meet-in-the-middle.
 
 All engines share a key's set-up, made once per key (KeyContext), and its
-cheap convergent pre-pass: a hit there is free relative to a table build. The exhaustive engine doubles as the testing oracle for
-the meet-in-the-middle one.
+cheap convergent pre-pass: a hit there is free relative to a table build.
+The exhaustive engine doubles as the testing oracle for the
+meet-in-the-middle one.
 """
 
 import sys

@@ -107,7 +107,6 @@ def _convergents(target):
     return out
 
 
-
 def _method1_reference(n, e, d, k):
     """The factor check of (d, k), k >= 1, from d*e - 1 itself: (p, q), or
     the reject tag method1_try gives."""
@@ -153,6 +152,7 @@ def _check_wiener_pass(pub):
                     hit = d, k, got.p, got.q
         assert (context.wiener, context.wiener_trials) == (hit, trials)
     return cases
+
 
 class TestApproximationTarget:
     def test_plain(self):
@@ -219,7 +219,6 @@ class TestWienerClassic:
         assert wiener_classic(pub).outcome == "exhausted"
 
 
-
 class TestKeyContext:
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(bits=st.integers(64, 512), log_d=st.floats(-4, 20),
@@ -259,7 +258,6 @@ class TestKeyContext:
             assert (context.target, context.bound) == (target, bound)
             assert context.cf == contfrac.expand(target)
             assert context.m_prime == contfrac.locate_m_prime(target, bound)
-            assert context.m_prime == anchor_index(pub, approx)
 
     def test_run_attack_refuses_another_keys_context(self):
         pub, _ = keygen_weak(96, 16, 0)
@@ -272,6 +270,7 @@ class TestKeyContext:
         res = run_attack(pub, cfg, attack.key_context(pub))
         assert (res.outcome, res.stats) == ("recovered", replace(
             run_attack(pub, cfg).stats, wall_time=res.stats.wall_time))
+
 
 class TestVvtExhaustive:
     def test_extends_wiener(self):
