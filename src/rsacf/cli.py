@@ -18,6 +18,7 @@ from .rsa import GenerationError, KeyFormatError, keygen_weak, read_key, write_k
 from .workers import WorkerError
 
 DEFAULT_SEED = 0xC0FFEE
+_SHORT_MODULUS = "n often has one bit fewer, as its primes have bits // 2 each"
 
 
 def _build_parser():
@@ -29,7 +30,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     kg = sub.add_parser("keygen", help="generate a deliberately weak key")
-    kg.add_argument("--bits", type=int, required=True)
+    kg.add_argument("--bits", type=int, required=True,
+                    help=f"modulus size; {_SHORT_MODULUS}")
     kg.add_argument("--d-ratio", type=float, required=True,
                     help="target d / n^0.25")
     kg.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -58,7 +60,8 @@ def _build_parser():
     be = sub.add_parser("bench", help="reproduce the two reference tables")
     be_sub = be.add_subparsers(dest="bench_command", required=True)
     bs = be_sub.add_parser("success", help="success-rate table")
-    bs.add_argument("--bits", type=int, required=True)
+    bs.add_argument("--bits", type=int, required=True,
+                    help=f"modulus size of the keys; {_SHORT_MODULUS}")
     bs.add_argument("--d-ratio", type=float, required=True)
     bs.add_argument("--trials", type=int, required=True)
     bs.add_argument("--seed", type=int, default=DEFAULT_SEED)

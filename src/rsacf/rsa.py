@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd, isfinite, prod
 from typing import NamedTuple
 
+from . import workers
 from .numeric import isqrt
 
 # Miller-Rabin bases that decide every n below 2^64 (J. Sinclair, 2011),
@@ -67,42 +68,58 @@ def _primes_below(limit):
 
 _SMALL_PRIMES = _primes_below(1000)
 # The product of the odd primes below 1000: one gcd with it turns away an
-# odd n below 2^64 with a small factor before any Miller-Rabin round.
+# odd n with a small factor before any Miller-Rabin round. Below 2^64 it
+# replaces trial division; above, it follows the twelve trial divisions.
 _ODD_PRIMORIAL = prod(_SMALL_PRIMES[1:])
 
 
-def _mr_round(n: int, a: int, d: int, r: int) -> bool:
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(r - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
+def _mr_rounds(n: int, bases) -> bool:
+    """Whether odd n > 3 passes a Miller-Rabin round to every base in bases."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
-    """Exact below 2^64; above it, 64 Miller-Rabin rounds with bases drawn
-    from rng (random.Random(n) if None), after trial division by the first
-    twelve primes."""
+    """Exact below 2^64. Above it, trial division by the first twelve primes,
+    64 bases drawn from rng (random.Random(n) if None), then a gcd with the
+    odd primes below 1000, and a Miller-Rabin round to each base.
+
+    The bases are drawn before the gcd, so rng advances by 64 draws for
+    every n without a factor among the first twelve primes, whatever the
+    gcd finds: keygen_weak's keys do not depend on it. The first round runs
+    here; it turns away almost every composite. The other 63 are split over
+    the workers (workers.ways), so an accepted prime of RSA size uses every
+    CPU.
+    """
     if n < 2:
         return False
     if n < 1 << 64:
         if n % 2 == 0 or gcd(n, _ODD_PRIMORIAL) != 1:
             return n < 1000 and n in _SMALL_PRIMES
-        bases = [a for a in _MR_BASES_64 if a % n]
-    else:
-        for p in _SMALL_PRIMES[:12]:
-            if n % p == 0:
-                return False
-        rng = rng or random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_BIG)]
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    return all(_mr_round(n, a, d, r) for a in bases)
+        return _mr_rounds(n, [a for a in _MR_BASES_64 if a % n])
+    for p in _SMALL_PRIMES[:12]:
+        if n % p == 0:
+            return False
+    rng = rng or random.Random(n)
+    bases = [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_BIG)]
+    if gcd(n, _ODD_PRIMORIAL) != 1 or not _mr_rounds(n, bases[:1]):
+        return False
+    rest, bits = bases[1:], n.bit_length()
+    ways = workers.ways(len(rest) * bits, bits)
+    return all(workers.run(_mr_rounds, [(n, rest[i::ways]) for i in range(ways)]))
 
 
 def _random_prime(rng: random.Random, bits: int) -> int:
@@ -115,6 +132,9 @@ def _random_prime(rng: random.Random, bits: int) -> int:
 def keygen_weak(modulus_bits: int, d_ratio, seed: int):
     """Deterministically generate a key whose d is about d_ratio * n^0.25.
 
+    p and q have modulus_bits // 2 bits each, so n has 2 * (modulus_bits
+    // 2) or one bit fewer: often modulus_bits - 1 bits (20 of seeds 0..39
+    at 96 bits, 14 at 512), and never modulus_bits when it is odd.
     d is drawn uniformly (odd, coprime to phi) from
     [max(3, 0.9 * d_ratio * n^0.25), 1.1 * d_ratio * n^0.25].
     """

@@ -25,7 +25,11 @@ import os
 # its bits, 2^18 at 128 bits. Measured serially, one takes about 1 ms at
 # 128 bits and 0.5 ms at 64, so a table splits from 4 keys at 128 bits or 8
 # at 64. The estimate is low for larger keys, about 9 ms at 256 bits and
-# 30 ms at 512, which split from 2 keys anyway.
+# 30 ms at 512, which split from 2 keys anyway. A prime candidate above
+# 2^64 that passes its first Miller-Rabin round splits the other 63, 63
+# operations of its bits, from 129 bits. A round at 512 bits takes about
+# 1 ms, so an accepted 512-bit prime takes 35-45 ms on 2 CPUs against
+# 64-76 ms in one process.
 MIN_WORK = 1 << 20
 
 _owner = None  # the pid whose workers _workers holds

@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +18,13 @@ from rsacf import (
     keygen_weak,
     method1_factor,
     read_key,
+    workers,
     write_key,
 )
 from rsacf.rsa import is_probable_prime, method1_try
 
 TOY = PublicKey(90581, 17993)  # p = 239, q = 379, d = 5, k = 1
+M61, M127, M521, M607 = (2**61 - 1, 2**127 - 1, 2**521 - 1, 2**607 - 1)  # Mersenne primes
 
 # Strong pseudoprimes to the first 1, 2, ..., 9 prime bases, the smallest
 # of each (2047 = 23 * 89 fools base 2, 3825123056546413051 the bases up
@@ -86,9 +88,63 @@ class TestPrimality:
         assert not _mr_twelve_primes(n) and not is_probable_prime(n)
 
     def test_large_prime_and_composite(self):
-        p = (1 << 127) - 1  # Mersenne prime
-        assert is_probable_prime(p)
-        assert not is_probable_prime(p * ((1 << 61) - 1))
+        assert is_probable_prime(M127)
+        assert not is_probable_prime(M127 * M61)
+
+    @pytest.mark.parametrize("n", [
+        41 * M127, 997 * M521,  # turned away by the gcd with the primorial
+        M61 * M127,  # by the first Miller-Rabin round
+        M521,  # accepted after 64 rounds
+    ], ids=["factor-41", "factor-997", "large-factors", "prime"])
+    def test_draws_64_bases_above_2_64(self, n):
+        # keygen_weak's keys depend on how far each test advances its rng:
+        # whatever turns n away after the first twelve trial divisions must
+        # do so after the 64 draws.
+        rng, fresh = random.Random(5), random.Random(5)
+        is_probable_prime(n, rng)
+        for _ in range(64):
+            fresh.randrange(2, n - 1)
+        assert rng.getstate() == fresh.getstate()
+
+    @pytest.mark.parametrize("n", [3 * M127, 37 * M521])
+    def test_small_factor_draws_nothing(self, n):
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert not is_probable_prime(n, rng)
+        assert rng.getstate() == state
+
+
+# Primes above 2^64, products of two of them, and a product of the primes
+# just above 1000, which no gcd with the primorial catches.
+SPLIT_CASES = [(M127, True), (M521, True), (M607, True), (M127 * M521, False),
+               (M521 * M607, False),
+               (prod(p for p in range(1009, 1100) if is_probable_prime(p)), False)]
+
+
+@pytest.mark.parametrize("n, prime", SPLIT_CASES,
+                         ids=["M127", "M521", "M607", "M127*M521", "M521*M607", "1009..1097"])
+def test_split_rounds_match_serial(monkeypatch, n, prime):
+    # Split over two CPUs in a plain call, at any size; serial inside a job
+    # list, in this process and in the worker, where workers.ways is 1.
+    lists, run = [], workers.run
+
+    def recorded(fn, jobs):
+        lists.append(len(jobs))
+        return run(fn, jobs)
+
+    workers.shutdown()
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "MIN_WORK", 0)
+    monkeypatch.setattr(workers, "run", recorded)
+    try:
+        assert is_probable_prime(n, random.Random(1)) == prime
+        assert lists == ([2] if prime else [])
+        del lists[:]
+        serial = workers.run(is_probable_prime, [(n, random.Random(1)) for _ in range(2)])
+        assert serial == [prime, prime]
+        assert lists == ([2, 1] if prime else [2])
+    finally:
+        workers.shutdown()
 
 
 class TestMethod1:

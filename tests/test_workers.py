@@ -363,3 +363,23 @@ def test_cli_run_leaves_no_process(tmp_path):
     assert (proc.returncode, out, err) == (1, b"", b"exhausted\n")
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+def test_cli_keygen_leaves_no_process(tmp_path):
+    # A 1024-bit key's accepted primes split their Miller-Rabin rounds, so
+    # keygen forks a worker; once the command has exited, nothing of its
+    # session is left, and the key file is keygen_weak's.
+    assert workers.ways(63 * 512, 512) == min(workers._cpus(), 63 * 512)
+    want, got = tmp_path / "want.txt", tmp_path / "key.txt"
+    write_key(want, *keygen_weak(1024, 4, 1))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-m", "rsacf.cli", "keygen", "--bits", "1024",
+         "--d-ratio", "4", "--seed", "1", "-o", str(got)],
+        env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (0, b"", b"")
+    assert got.read_text() == want.read_text()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
