@@ -248,21 +248,21 @@ def _bounds_for(cfg, cf, m):
                          f" (d_ratio {cfg.d_ratio!r})") from None
 
 
-def _anchor_windows(context, cfg, window, stats):
+def _anchor_windows(context, cfg, window, stats, shared=None):
     """The loop every engine shares, over the key's context: the context's
     Wiener pass, charged to stats, then per anchor index m window(pub, cfg,
     p0, q0, p1, q1, r_max, s_max, stats, shared, keep), which searches the
     (r, s) window around convergents m and m + 1, bar the corners r = 1,
     s = 0 and r = 0, s = 1 that the Wiener pass tried, and returns (an
-    AttackResult or None, shared). When anchor m + 1 is searched next, keep
-    is its s_max, and the shared that window m returns, or None, is handed
-    to it; otherwise keep is 0 and the next window gets None."""
+    AttackResult or None, shared). The first window gets the shared given
+    here. When anchor m + 1 is searched next, keep is its s_max, and the
+    shared that window m returns, or None, is handed to it; otherwise keep
+    is 0 and the next window gets None."""
     stats.method1_trials += context.wiener_trials
     if context.wiener is not None:
         return AttackResult("recovered", *context.wiener, stats)
     pub, cf = context.pub, context.cf
     ms = _m_candidates(context, cfg)
-    shared = None
     for i, m in enumerate(ms):
         stats.m_tried += 1
         p0, q0 = cf.convergent(m)
@@ -432,10 +432,45 @@ def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
     return run_attack(pub, replace(cfg, variant="vvt"))
 
 
-def _pow(base, exp, n, stats):
-    """mod_pow, charged to stats.modmuls as square-and-multiply."""
-    stats.modmuls += max(exp.bit_length() + exp.bit_count() - 2, 0)
+def _muls(exp):
+    """The multiplications of a power with exponent exp, as square-and-multiply
+    makes it: exp.bit_length() - 1 squares and popcount(exp) - 1 multiplies."""
+    return max(exp.bit_length() + exp.bit_count() - 2, 0)
+
+
+def _charge(exp, stats):
+    """Charge a power with exponent exp to stats.modmuls (_muls), and return
+    the charge. Every power goes through here, made here or on a worker."""
+    muls = _muls(exp)
+    stats.modmuls += muls
+    return muls
+
+
+def _power(base, exp, n):
+    """mod_pow as a worker's job: the name is looked up when the job runs."""
     return mod_pow(base, exp, n)
+
+
+def _call(fn, *args):
+    """fn(*args): puts different functions in one workers.run job list."""
+    return fn(*args)
+
+
+def _pow(base, exp, n, stats):
+    """mod_pow, charged to stats.modmuls."""
+    _charge(exp, stats)
+    return mod_pow(base, exp, n)
+
+
+def _powers(base, exps, n, stats):
+    """[base^x mod n for x in exps], each charged to stats.modmuls, in one
+    job list over workers.run when their multiplications are worth
+    splitting (workers.ways)."""
+    muls = sum(_charge(x, stats) for x in exps)
+    jobs = [(base, x, n) for x in exps]
+    if workers.ways(muls, n.bit_length()) == 1:
+        return [mod_pow(*job) for job in jobs]
+    return workers.run(_power, jobs)
 
 
 def _inv(a, n, stats):
@@ -525,8 +560,9 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
     not 0, an exhausted window returns (None, (plus stream, B)), with at
     least the stream's first min(r_max, keep) fingerprints stored. A first
     window pays the power B and two powers of about q bits, B^(q0) and
-    B^(q1); given shared, a window pays one, a = B^(q1), and one chain per
-    stream.
+    B^(q1), the two as one job list (_powers); given shared, a window pays
+    one, a = B^(q1), and one chain per stream. A first window may be given
+    (None, B), with B made beside the key's set-up (run_attack).
 
     A stage with bound T covers r <= min(T, r_max) and s <= min(T, s_max);
     T starts at MITM_FIRST_STAGE and doubles until both bounds are reached.
@@ -549,16 +585,24 @@ def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
     """
     _check_mitm_bounds(r_max, s_max)
     n = pub.n
-    if shared is None:
-        # n is odd, so the powers of 2 are units and invertible.
-        base = _pow(2, pub.e, n, stats)
-        s_side = _Side(2, _inv(_pow(base, q0, n, stats), n, stats)) if q0 else None
+    s_side, base = shared or (None, None)
+    if s_side is None:
+        # The first window. n is odd, so the powers of 2 are units and
+        # invertible. B is charged here, also when run_attack made it
+        # beside the key's set-up.
+        _charge(pub.e, stats)
+        if base is None:
+            base = mod_pow(2, pub.e, n)
+        if q0:
+            b, a = _powers(base, (q0, q1), n, stats)
+            s_side = _Side(2, _inv(b, n, stats))
+        else:
+            a = _pow(base, q1, n, stats)
     else:
-        s_side, base = shared
         s_side.index.extend(s_side.pending)
         s_side.pending = array("Q")
         s_side.index.row_bound = 0  # r is looked up in it now
-    a = _pow(base, q1, n, stats)
+        a = _pow(base, q1, n, stats)
     halved = s_side is not None and s_side.const == 1  # the s side is A_{m-1}^s
     minus_stream = cfg.probe_minus_form and q0 != 0
     a_inv = _inv(a, n, stats) if halved or minus_stream else None
@@ -646,6 +690,9 @@ def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = N
     context is the key's set-up under cfg.approx (key_context), made here
     when None; a caller that searches one key more than once passes its
     own. An even n splits as 2 * (n // 2) before any set-up or search.
+    When a mitm search makes the context and the power B = 2^e mod n is
+    worth splitting (workers.ways), B is made on a worker meanwhile and
+    handed to the first window, which charges it only if it opens.
     """
     cfg.validate()
     stats = Stats()
@@ -653,10 +700,16 @@ def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = N
     try:
         if pub.n % 2 == 0:
             return AttackResult("gcd-break", p=2, q=pub.n // 2, stats=stats)
+        shared = None
         if context is None:
-            context = key_context(pub, cfg.approx)
+            if cfg.variant == "mitm" and workers.ways(_muls(pub.e), pub.n.bit_length()) > 1:
+                context, base = workers.run(_call, [
+                    (key_context, pub, cfg.approx), (_power, 2, pub.e, pub.n)])
+                shared = None, base
+            else:
+                context = key_context(pub, cfg.approx)
         elif (context.pub, context.approx) != (pub, cfg.approx):
             raise ValueError("the key context is of another key or approximation target")
-        return _anchor_windows(context, cfg, _WINDOWS.get(cfg.variant), stats)
+        return _anchor_windows(context, cfg, _WINDOWS.get(cfg.variant), stats, shared)
     finally:
         stats.wall_time = time.perf_counter() - t0

@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import asdict, fields
 from fractions import Fraction
+from functools import cache
 
 from . import __version__, bench, contfrac
 from .attack import BOUND_MODES, VARIANTS, AttackConfig, run_attack
@@ -21,6 +22,7 @@ DEFAULT_SEED = 0xC0FFEE
 _SHORT_MODULUS = "n often has one bit fewer, as its primes have bits // 2 each"
 
 
+@cache  # argparse's tree takes about 2 ms to build; parse_args leaves it as it was
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="rsacf",

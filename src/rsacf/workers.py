@@ -17,20 +17,25 @@ import atexit
 import os
 
 # Work, in operations times operand bits, below which a job is not split.
-# A job's round trip through an idle worker's pipes takes about 0.06 ms, and
-# a chain fingerprint sent back about 0.1 us, on 2 vCPUs (CPython 3.11).
-# 2^20 is 1,024 chain steps of 1024 bits, about 6 ms, or about 11,000
-# oracle pairs of 96 bits, about 2.5 ms. A bench success key (keygen_weak,
-# its search and at most one rescue) is bench.KEY_OPS = 2^11 operations of
-# its bits, 2^18 at 128 bits. Measured serially, one takes about 1 ms at
-# 128 bits and 0.5 ms at 64, so a table splits from 4 keys at 128 bits or 8
-# at 64. The estimate is low for larger keys, about 9 ms at 256 bits and
-# 30 ms at 512, which split from 2 keys anyway. A prime candidate above
-# 2^64 that passes its first Miller-Rabin round splits the other 63, 63
-# operations of its bits, from 129 bits. A round at 512 bits takes about
+# On 2 vCPUs (CPython 3.11), a job's round trip through a worker's pipes
+# takes about 0.05 ms when the worker has just answered, but 0.2-0.3 ms
+# after 2 ms idle and 0.4-0.5 ms after 20 ms, as the idle worker wakes up;
+# a chain fingerprint sent back costs about 0.1 us. 2^19 is 512 chain steps
+# of 1024 bits, about 3 ms, or about 5,500 oracle pairs of 96 bits, about
+# 1.3 ms. A 64-step 1024-bit chain, the first stage's, took 0.53-0.59 ms on
+# the worker, round trip included, against 0.33-0.37 ms here, so it is not
+# split. A recovered 1024-bit mitm key splits twice: B = 2^e mod n, about
+# 1,536 multiplications, beside the key's set-up, and the two powers of
+# about 256 bits, about 760 multiplications together, as one list of two.
+# A bench success key (keygen_weak, its search and at most one rescue) is
+# bench.KEY_OPS = 2^11 operations of its bits, 2^18 at 128 bits. Measured
+# serially, one takes about 1 ms at 128 bits and 0.5 ms at 64, so a table
+# splits from 2 keys at 128 bits or 4 at 64. A prime candidate above 2^64
+# that passes its first Miller-Rabin round splits the other 63, 63
+# operations of its bits, from 92 bits. A round at 512 bits takes about
 # 1 ms, so an accepted 512-bit prime takes 35-45 ms on 2 CPUs against
-# 64-76 ms in one process.
-MIN_WORK = 1 << 20
+# 64-82 ms in one process; an accepted 128-bit one took 3.0 ms against 4.9.
+MIN_WORK = 1 << 19
 
 _owner = None  # the pid whose workers _workers holds
 _workers = []  # (pid, pipe to it, pipe from it), buffered files

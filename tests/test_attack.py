@@ -43,13 +43,15 @@ def _key(primes, d):
 def _record_windows(monkeypatch):
     """Record (p0, q0, p1, q1, r_max, s_max) of every mitm window run, and
     check that a window is handed the previous one's side exactly when
-    its anchor follows that one's."""
+    its anchor follows that one's, and B alone, (None, B), only if first."""
     windows = []
     window = attack._WINDOWS["mitm"]
 
     def record(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
         follows = bool(windows) and windows[-1][2:4] == (p0, q0)
-        assert (shared is not None) == follows
+        side = shared[0] if shared else None
+        assert (side is not None) == follows
+        assert shared is None or side is not None or not windows
         windows.append((p0, q0, p1, q1, r_max, s_max))
         return window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep)
 
@@ -571,13 +573,13 @@ class TestMitmAttack:
         # after its first, below the segment's length.
         pub, _ = keygen_weak(96, 2**20, 123)
         exps = []
-        charged = attack._pow
+        charged = attack._charge
 
-        def record(base, exp, n, stats):
+        def record(exp, stats):
             exps.append(exp)
-            return charged(base, exp, n, stats)
+            return charged(exp, stats)
 
-        monkeypatch.setattr(attack, "_pow", record)
+        monkeypatch.setattr(attack, "_charge", record)
         t0 = time.perf_counter()
         res = run_attack(pub, AttackConfig(r_max=1 << 16, s_max=1 << 16,
                                            m_candidates=(-1,)))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsacf import attack, contfrac, keygen_weak, read_key, write_key
+from rsacf import attack, cli, contfrac, keygen_weak, read_key, write_key
 from rsacf.cli import main
 
 # 96-bit key, d about 4 * n^0.25, recoverable only through the minus form
@@ -444,3 +444,22 @@ class TestParser:
             main(["--version"])
         assert exc_info.value.code == 0
         assert capsys.readouterr().out == "rsacf 0.1.0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["--version"], ["attack", "--help"], ["attack"],
+        ["bench", "success", "--bits", "x", "--d-ratio", "1", "--trials", "1"]],
+        ids=["help", "version", "attack-help", "no-key", "bad-int"])
+    def test_cached_parser_answers_as_a_fresh_one(self, capsys, argv):
+        # main builds the parser once a process. A parse after any other,
+        # usage errors and --help included, answers as a fresh parser does.
+        assert cli._build_parser() is cli._build_parser()
+        answers = []
+        for parser in (cli._build_parser.__wrapped__(), cli._build_parser(),
+                       cli._build_parser()):
+            with pytest.raises(SystemExit) as exc_info:
+                parser.parse_args(argv)
+            answers.append((exc_info.value.code, *capsys.readouterr()))
+        assert answers[0] == answers[1] == answers[2]
+        argv = ["attack", "--key", "k.txt", "--rmax", "8", "--minus-form"]
+        assert cli._build_parser().parse_args(argv) == (
+            cli._build_parser.__wrapped__().parse_args(argv))

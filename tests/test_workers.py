@@ -1,6 +1,7 @@
 """The worker layer: split work gives the serial answer, and no worker
 outlives its run or turns a failure into a traceback or an "exhausted"."""
 
+import functools
 import os
 import signal
 import subprocess
@@ -122,16 +123,16 @@ def _mitm(pub, monkeypatch, min_work):
     """run_attack at R = S = 2^14 with the given threshold, and the
     exponents of every power charged to it."""
     exps = []
-    charged = attack._pow
+    charged = attack._charge
 
-    def record(base, exp, n, stats):
+    def record(exp, stats):
         exps.append(exp)
-        return charged(base, exp, n, stats)
+        return charged(exp, stats)
 
     with monkeypatch.context() as mp:
         mp.setattr(workers, "MIN_WORK", min_work)
         mp.setattr(workers, "_cpus", lambda: 2)
-        mp.setattr(attack, "_pow", record)
+        mp.setattr(attack, "_charge", record)
         res = run_attack(pub, AttackConfig(r_max=1 << 14, s_max=1 << 14))
     return res, Counter(exps)
 
@@ -154,6 +155,52 @@ def test_split_chains_match_serial(monkeypatch, d_ratio, seed, outcome):
     assert serial_exps - split_exps == Counter() and extra
     assert split.stats.modmuls - serial.stats.modmuls == sum(
         _pow_cost(x) * c for x, c in extra.items())
+
+
+@functools.cache
+def _key_1024(d_ratio):
+    """keygen_weak(1024, d_ratio, 1), made once for the tests below."""
+    return keygen_weak(1024, d_ratio, 1)[0]
+
+
+def _jobs_sent(monkeypatch):
+    """The job functions of every list that workers.run gets, once per
+    list of two or more jobs."""
+    sent, run = [], workers.run
+
+    def spy(fn, jobs):
+        if len(jobs) > 1:
+            sent.append(getattr(fn, "__name__", fn))
+        return run(fn, jobs)
+    monkeypatch.setattr(workers, "run", spy)
+    return sent
+
+
+@pytest.mark.parametrize("d_ratio, outcome, lists", [
+    (4, "recovered", ["_call", "_power"]), (0.1, "recovered", ["_call"])],
+    ids=["first-stage", "wiener-pass"])
+def test_split_set_up_matches_serial(monkeypatch, d_ratio, outcome, lists):
+    # On 2 CPUs at the module's threshold, 2^e goes to the worker beside the
+    # key's set-up, and a first window's two powers go as one list. The key
+    # of D = 4 is found in the first stage at m', whose 64-step chains do not
+    # split, so every counter is the serial run's, modmuls included, and so
+    # is every power charged. The key of D = 0.1 is found by the Wiener
+    # pass, which waits for the worker's 2^e and opens no window: no power
+    # is charged.
+    pub = _key_1024(d_ratio)
+    workers.shutdown()
+    serial, serial_exps = _mitm(pub, monkeypatch, float("inf"))
+    assert workers._workers == []
+    sent = _jobs_sent(monkeypatch)
+    split, split_exps = _mitm(pub, monkeypatch, workers.MIN_WORK)
+    assert sent == lists
+    assert split.outcome == serial.outcome == outcome
+    assert (serial.d, serial.k, serial.p, serial.q) == (split.d, split.k, split.p, split.q)
+    a, b = asdict(serial.stats), asdict(split.stats)
+    del a["wall_time"], b["wall_time"]
+    assert a == b
+    assert split_exps == serial_exps
+    assert bool(serial_exps) == (d_ratio == 4)
 
 
 def test_no_fork_runs_serially(monkeypatch):
@@ -229,6 +276,33 @@ def test_worker_failure_exits_2(tmp_path, capsys, monkeypatch, act, says):
     monkeypatch.undo()  # the next run forks sound workers
     code, out, err = _cli_attack(tmp_path, capsys)
     assert (code, out, err) == (1, "", "exhausted\n")
+
+
+@pytest.mark.parametrize("act, says", [
+    (_kill_self, "died (EOFError)"), (_raise, "raised ZeroDivisionError: in a job")],
+    ids=["killed", "raises"])
+def test_worker_failure_in_set_up_exits_2(tmp_path, capsys, monkeypatch, act, says):
+    # The worker's first job is 2^e, sent beside the key's set-up: a worker
+    # that dies or raises there ends the command before any window opens,
+    # and the next run forks a sound worker and recovers the key.
+    key = tmp_path / "key.txt"
+    write_key(key, _key_1024(4))
+    workers.shutdown()  # keygen_weak's worker was forked before the patches
+    argv = ["attack", "--key", str(key), "--rmax", "16384", "--smax", "16384"]
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(attack, "mod_pow", _in_worker(act, attack.mod_pow))
+        mp.setattr(attack, "_powers", _raise)  # no window may open
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("rsacf: worker ") and says in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert workers._workers == []
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("d = ") and err == ""
+    assert len(workers._workers) == 1
 
 
 def _cli_bench(capsys, *flags):
