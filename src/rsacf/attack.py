@@ -447,7 +447,8 @@ def _charge(exp, stats):
 
 
 def _power(base, exp, n):
-    """mod_pow as a worker's job: the name is looked up when the job runs."""
+    """mod_pow as a worker's job. A job's function is pickled by name, so a
+    wrapped mod_pow (a tracer's, a test's) is looked up when the job runs."""
     return mod_pow(base, exp, n)
 
 

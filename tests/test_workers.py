@@ -184,16 +184,24 @@ def test_split_set_up_matches_serial(monkeypatch, d_ratio, outcome, lists):
     # key's set-up, and a first window's two powers go as one list. The key
     # of D = 4 is found in the first stage at m', whose 64-step chains do not
     # split, so every counter is the serial run's, modmuls included, and so
-    # is every power charged. The key of D = 0.1 is found by the Wiener
-    # pass, which waits for the worker's 2^e and opens no window: no power
-    # is charged.
+    # is every power charged; this process makes only one of the two
+    # powers. The key of D = 0.1 is found by the Wiener pass, which waits
+    # for the worker's 2^e and opens no window: no power is charged.
     pub = _key_1024(d_ratio)
     workers.shutdown()
     serial, serial_exps = _mitm(pub, monkeypatch, float("inf"))
     assert workers._workers == []
-    sent = _jobs_sent(monkeypatch)
+    sent, made_here, here = _jobs_sent(monkeypatch), [], os.getpid()
+    mod_pow = attack.mod_pow
+
+    def recorded(base, exp, n):
+        if os.getpid() == here:
+            made_here.append(exp)
+        return mod_pow(base, exp, n)
+    monkeypatch.setattr(attack, "mod_pow", recorded)
     split, split_exps = _mitm(pub, monkeypatch, workers.MIN_WORK)
     assert sent == lists
+    assert len(made_here) == len(lists) - 1 and pub.e not in made_here
     assert split.outcome == serial.outcome == outcome
     assert (serial.d, serial.k, serial.p, serial.q) == (split.d, split.k, split.p, split.q)
     a, b = asdict(serial.stats), asdict(split.stats)
