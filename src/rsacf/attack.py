@@ -11,7 +11,8 @@ import time
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import islice, repeat
+from functools import cache
+from itertools import accumulate, chain, cycle, islice, repeat
 from math import ceil, gcd, isfinite
 from operator import indexOf, mod
 
@@ -53,9 +54,10 @@ MITM_WIDTH = fingerprint_width(MITM_MAX_BOUND)
 # 16. On a 1024-bit key 64 costs a recovered key about 0.3 ms more than 16.
 MITM_FIRST_STAGE = 64
 # Largest r_max * s_max of a vvt window: 2^14 x 2^14 at one anchor, a
-# 62 s scan of a 96-bit key and about 6 min of a 1024-bit one (230 ns and
-# 1.4 us a pair on 2 vCPUs under CPython 3.11, nearly all of it the row
-# filter's big-int %).
+# scan of about 27 s of a 96-bit key and about 2 min of a 1024-bit one
+# (about 100 ns a pair at 2^14 x 2^14 and 0.48 us at 2^12 x 2^12, on
+# 2 vCPUs under CPython 3.11), nearly all of it the row filter's big-int %,
+# which the wheel makes for about 0.64 of the pairs.
 VVT_MAX_PAIRS = 1 << 28
 
 
@@ -231,20 +233,27 @@ def _m_candidates(context, cfg):
     return [m for m in (m_prime, m_prime + 1, m_prime + 2) if m <= top]
 
 
-def _bounds_for(cfg, cf, m):
+def _fixed_bounds(cfg):
+    """(r_max, s_max) at every anchor under explicit or fixed4d bounds."""
     if cfg.bound_mode == "explicit":
         return cfg.r_max, cfg.s_max
+    bound = 4 * cfg.d_ratio
+    if not isfinite(bound):
+        raise ValueError(f"fixed4d bounds are not finite (d_ratio {cfg.d_ratio!r})")
+    return max(1, ceil(bound)), max(1, ceil(bound))
+
+
+def _bounds_for(cfg, cf, m):
+    if cfg.bound_mode != "quotient":
+        return _fixed_bounds(cfg)
     try:
-        if cfg.bound_mode == "fixed4d":
-            r = s = 4 * cfg.d_ratio
-        else:
-            r, s = contfrac.rs_bounds(
-                cf.quotient(m + 1), cf.quotient(m + 2), cf.quotient(m + 3), cfg.d_ratio,
-                cfg.approx)
+        r, s = contfrac.rs_bounds(
+            cf.quotient(m + 1), cf.quotient(m + 2), cf.quotient(m + 3), cfg.d_ratio,
+            cfg.approx)
         return max(1, ceil(r)), max(1, ceil(s))
     except OverflowError:
         # An infinite bound, or a partial quotient beyond the float range.
-        raise ValueError(f"{cfg.bound_mode} bounds at anchor index {m} are not finite"
+        raise ValueError(f"quotient bounds at anchor index {m} are not finite"
                          f" (d_ratio {cfg.d_ratio!r})") from None
 
 
@@ -307,16 +316,92 @@ def _coprime_count(lo, hi, primes):
     return count
 
 
-def _zeros_at(rems, first, sign):
-    """(position, sign) of each zero of the iterator rems, whose first value
-    sits at position first, found by C-level searches."""
-    at, out = first - 1, []
-    try:
-        while True:
-            at += indexOf(rems, 0) + 1
-            out.append((at, sign))
-    except ValueError:
-        return out
+@cache
+def _mobius(bits):
+    """mu(d) at d = 0 (unused), 1, ..., 2^bits - 1, by a sieve: one table
+    per size for the life of the process, twice at most the size asked."""
+    top = (1 << bits) - 1
+    mu, composite = [1] * (top + 1), [False] * (top + 1)
+    for p in range(2, top + 1):
+        if not composite[p]:
+            composite[p::p] = [True] * (top // p)
+            mu[p::p] = [-m for m in mu[p::p]]
+            mu[p * p::p * p] = [0] * (top // (p * p))
+    return tuple(mu)
+
+
+def _coprime_pairs(r_max, s_lo, s_hi):
+    """How many coprime (r, s) have 1 <= r <= r_max and s_lo <= s < s_hi:
+    by Moebius inversion, the sum over d <= min(r_max, s_hi - 1) of
+    mu(d) * (r_max // d) * (how many of those s d divides)."""
+    top = min(r_max, s_hi - 1)
+    mu = _mobius(top.bit_length())
+    return sum(mu[d] * (r_max // d) * ((s_hi - 1) // d - (s_lo - 1) // d)
+               for d in range(1, top + 1))
+
+
+# The row filter's wheel: row s makes no remainder for an r that shares a
+# prime of _WHEEL with s, that is for an r not coprime to w = gcd(s, _WHEEL).
+_WHEEL = 30
+
+
+def _wheel(w):
+    """(classes, below, gaps) of the r coprime to w: their residues in
+    [1, w], how many of those are <= t at t = 0..w-1, and the gap from each
+    to the next, the last to w + 1."""
+    classes = [c for c in range(1, w + 1) if gcd(c, w) == 1]
+    return (classes, [sum(c <= t for c in classes) for t in range(w)],
+            [b - a for a, b in zip(classes, classes[1:] + [w + 1])])
+
+
+_WHEELS = {w: _wheel(w) for w in range(1, _WHEEL + 1) if _WHEEL % w == 0}
+
+
+def _walks(r_max, p1):
+    """The walk of each row s, by s mod _WHEEL: the r >= 1 coprime to
+    w = gcd(s, _WHEEL), in order, as (w, phi, classes, below, steps, top),
+    with classes and below those of _wheel(w) and phi = len(classes). The
+    i-th r, from 0, is r_i = (i // phi) * w + classes[i % phi], and top
+    counts the r_i <= r_max. steps are the gaps r_{i+1} - r_i times p1 from
+    i = 0 on, twice over, so that steps[j:j + phi] are those from any
+    i = j mod phi on."""
+    walks = {w: (w, len(classes), classes, below, [g * p1 for g in gaps] * 2,
+                 r_max // w * len(classes) + below[r_max % w])
+             for w, (classes, below, gaps) in _WHEELS.items()}
+    return [walks[gcd(s, _WHEEL)] for s in range(_WHEEL)]
+
+
+def _rank(walk, r):
+    """How many r_i of walk (_walks) are <= r, r >= 0."""
+    w, phi, _, below = walk[:4]
+    return r // w * phi + below[r % w]
+
+
+def _zeros_at(rems, first, walk, sign):
+    """(r_i, sign) of walk (_walks) for each zero of the iterator rems,
+    whose values stand for r_first, r_first+1, ..., r_top-1, found by
+    C-level searches; a 0 put after the last value ends them."""
+    w, phi, classes, _, _, top = walk
+    rems, at, out = chain(rems, (0,)), first - 1, []
+    while True:
+        at += indexOf(rems, 0) + 1
+        if at == top:
+            return out
+        out.append((at // phi * w + classes[at % phi], sign))
+
+
+def _walk_zeros(x, base, p1, i, walk, sign):
+    """(r, sign) of each r_j, i <= j < top, of walk (_walks) with
+    base + r_j*p1 | x, in one C-level pass over the divisors in r order:
+    a range when walk has one class, else a sum of its gaps."""
+    w, phi, classes, _, steps, top = walk
+    j = i % phi
+    first = base + (i // phi * w + classes[j]) * p1
+    if phi == 1:
+        divisors = range(first, first + (top - i) * steps[0], steps[0])
+    else:
+        divisors = accumulate(cycle(steps[j:j + phi]), initial=first)
+    return _zeros_at(map(mod, repeat(x, top - i), divisors), i, walk, sign)
 
 
 def _scan_rows(n, e, p0, q0, p1, q1, r_max, s_lo, s_hi, minus_form):
@@ -328,26 +413,28 @@ def _scan_rows(n, e, p0, q0, p1, q1, r_max, s_lo, s_hi, minus_form):
     # row has any. With p1 = 0 no row has any. Started at 1, r_lo takes at
     # every row the value that a scan from row 1 gives it.
     r_lo = 1 if minus_form and p1 else r_max + 1
-    trials = 0
+    walks = _walks(r_max, p1)
+    trials = 0  # all but the plus pairs of whole rows, which _coprime_pairs counts
     for s in range(s_lo, s_hi):
         sp0 = s * p0
         if p1:
-            found = _zeros_at(map(mod, repeat(s * dl - p1), range(
-                sp0 + p1, sp0 + r_max * p1 + 1, p1)), 1, 0)
+            walk = walks[s % _WHEEL]
+            found = _walk_zeros(s * dl - p1, sp0, p1, 0, walk, 0)
             if r_lo <= r_max:
                 r_lo = max(sp0 // p1, s * q0 // q1) + 1
                 if r_lo <= r_max:
-                    found += _zeros_at(map(mod, repeat(-s * dl - p1), range(
-                        r_lo * p1 - sp0, r_max * p1 - sp0 + 1, p1)), r_lo, 1)
+                    found += _walk_zeros(
+                        -s * dl - p1, -sp0, p1, _rank(walk, r_lo - 1), walk, 1)
                     found.sort()
         else:
             # k = s*p0 on the whole row (anchor -1 with a target below 1),
-            # so test k | r*D1 + s*D0 - 1 itself, D1 taken mod k.
+            # so test k | r*D1 + s*D0 - 1 itself, D1 taken mod k, at every r
+            # (walks[1], the walk of w = 1).
             k = sp0
             step = e * q1 % k or k
             c = (s * (e * q0 - n * p0) - 1) % k
             found = _zeros_at(map(mod, range(
-                c + step, c + r_max * step + 1, step), repeat(k)), 1, 0)
+                c + step, c + r_max * step + 1, step), repeat(k)), 0, walks[1], 0)
         for r, sign in found:
             if gcd(r, s) != 1:
                 continue
@@ -359,12 +446,10 @@ def _scan_rows(n, e, p0, q0, p1, q1, r_max, s_lo, s_hi, minus_form):
                 trials += _coprime_count(0, r, ps)
                 if r >= r_lo:
                     trials += _coprime_count(r_lo - 1, r - 1, ps) + sign
-                return (d, k, got[0], got[1]), trials
-        ps = _prime_divisors(s, r_max)
-        trials += _coprime_count(0, r_max, ps)
+                return (d, k, got[0], got[1]), trials + _coprime_pairs(r_max, s_lo, s)
         if r_lo <= r_max:
-            trials += _coprime_count(r_lo - 1, r_max, ps)
-    return None, trials
+            trials += _coprime_count(r_lo - 1, r_max, _prime_divisors(s, r_max))
+    return None, trials + _coprime_pairs(r_max, s_lo, s_hi)
 
 
 def _row_blocks(r_max, s_max, bits):
@@ -399,6 +484,18 @@ def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
     p1 times it, less D1*k, gives k | s*(p1*D0 - p0*D1) - p1, and
     p1*D0 - p0*D1 = e*(p1*q0 - p0*q1) = +/-e: a test free of r (with -s for
     sign 1). Only the r that pass it are checked; the others cannot pass.
+
+    The filter makes no remainder for an r that shares 2, 3 or 5 with s:
+    such a pair is never tried. With w = gcd(s, 30), row s walks the r
+    coprime to w in order (_walks), the classes of r mod w with
+    gcd(c, w) = 1 interleaved: its divisors k come in one C-level pass, a
+    range when w is 1 or 2, else a running sum of the walk's gaps times
+    p1. The minus form's walk starts at its first r >= r_lo. That is about
+    0.64 of the remainders of every r, and w = 1 is the scan of every r.
+    The zeros go through the gcd(r, s) test and the factor check in
+    (r, sign) order. Trials are counted in closed form: a block's plus
+    pairs by Moebius inversion (_coprime_pairs), and each row's minus pairs
+    and a hit row's by inclusion-exclusion over the primes of s.
 
     The rows go in contiguous blocks (_row_blocks), each list of blocks at
     once over workers.run, and the blocks' answers are merged in s order:
@@ -690,7 +787,9 @@ def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = N
 
     context is the key's set-up under cfg.approx (key_context), made here
     when None; a caller that searches one key more than once passes its
-    own. An even n splits as 2 * (n // 2) before any set-up or search.
+    own. An even n splits as 2 * (n // 2) before any set-up or search, and
+    mitm bounds the same at every anchor (explicit, fixed4d) are held to
+    MITM_MAX_BOUND next, before the set-up or any power is made.
     When a mitm search makes the context and the power B = 2^e mod n is
     worth splitting (workers.ways), B is made on a worker meanwhile and
     handed to the first window, which charges it only if it opens.
@@ -701,6 +800,8 @@ def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = N
     try:
         if pub.n % 2 == 0:
             return AttackResult("gcd-break", p=2, q=pub.n // 2, stats=stats)
+        if cfg.variant == "mitm" and cfg.bound_mode != "quotient":
+            _check_mitm_bounds(*_fixed_bounds(cfg))
         shared = None
         if context is None:
             if cfg.variant == "mitm" and workers.ways(_muls(pub.e), pub.n.bit_length()) > 1:

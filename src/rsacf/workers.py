@@ -22,7 +22,7 @@ import os
 # after 2 ms idle and 0.4-0.5 ms after 20 ms, as the idle worker wakes up;
 # a chain fingerprint sent back costs about 0.1 us. 2^19 is 512 chain steps
 # of 1024 bits, about 3 ms, or about 5,500 oracle pairs of 96 bits, about
-# 1.3 ms. A 64-step 1024-bit chain, the first stage's, took 0.53-0.59 ms on
+# 0.7 ms. A 64-step 1024-bit chain, the first stage's, took 0.53-0.59 ms on
 # the worker, round trip included, against 0.33-0.37 ms here, so it is not
 # split. A recovered 1024-bit mitm key splits twice: B = 2^e mod n, about
 # 1,536 multiplications, beside the key's set-up, and the two powers of

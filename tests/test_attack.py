@@ -19,7 +19,7 @@ from rsacf import (
     vvt_exhaustive,
     wiener_classic,
 )
-from rsacf import attack, contfrac
+from rsacf import attack, contfrac, workers
 from rsacf.attack import APPROX_MODES, BOUND_MODES, VARIANTS, anchor_index
 from rsacf.numeric import isqrt
 from rsacf.rsa import is_probable_prime, method1_remainder, method1_try
@@ -357,12 +357,20 @@ class TestVvtExhaustive:
     @given(bits=st.integers(32, 96), d_ratio=st.sampled_from([0.5, 1, 2, 4, 16]),
            seed=st.integers(0, 2**63 - 1), approx=st.sampled_from(APPROX_MODES),
            pick=st.integers(0, 1 << 10), near=st.booleans(),
-           r_max=st.integers(1, 40), s_max=st.integers(1, 40),
+           r_max=st.integers(1, 40), s_max=st.integers(1, 64),
            minus_form=st.booleans(), j=st.sampled_from([0, 1, 3]))
     @example(bits=96, d_ratio=4, seed=4, approx="plain", pick=1, near=True,
              r_max=12, s_max=12, minus_form=True, j=0)  # a minus-form hit
     @example(bits=64, d_ratio=1, seed=0, approx="plain", pick=0, near=False,
              r_max=40, s_max=40, minus_form=True, j=3)  # anchor -1 with e > n
+    # Rows 15, 30 and 60 (gcd(s, 30) = 15 or 30) start their minus pairs at
+    # r = 9, 18 and 35, inside a class of r mod gcd(s, 30); exhausted.
+    @example(bits=96, d_ratio=16, seed=3, approx="plain", pick=1, near=True,
+             r_max=40, s_max=64, minus_form=True, j=0)
+    # Rows 15, 30 and 45 start at r = 3, 6 and 9; a minus-form hit at
+    # (r, s) = (10, 47).
+    @example(bits=96, d_ratio=16, seed=10, approx="plain", pick=1, near=True,
+             r_max=40, s_max=64, minus_form=True, j=0)
     def test_scan_matches_pair_by_pair_reference(
             self, bits, d_ratio, seed, approx, pick, near, r_max, s_max,
             minus_form, j):
@@ -383,6 +391,42 @@ class TestVvtExhaustive:
         want = _reference_scan(*args)
         event("hit" if want[0] else "exhausted")
         assert attack.vvt_scan(*args) == want
+
+    @pytest.mark.parametrize("minus_form", [False, True])
+    def test_row_filter_skips_r_sharing_2_3_5_with_s(self, monkeypatch, minus_form):
+        # The filter makes one remainder for each r that shares no prime of
+        # 30 with s, from r = 1 (plus form) or the row's first minus pair,
+        # r_lo; the window stays in this process (below workers.MIN_WORK).
+        pub, _ = keygen_weak(96, 2**16, 11)
+        R = S = 60
+        target, _ = approximation_target(pub)
+        cf = contfrac.expand(target)
+        m = anchor_index(pub)
+        (p0, q0), (p1, q1) = cf.convergent(m), cf.convergent(m + 1)
+        args = (pub.n, pub.e, p0, q0, p1, q1, R, S, minus_form)
+        assert p1 > 0 and workers.ways(R * S, pub.n.bit_length()) == 1
+        want, inside = 0, 0
+        for s in range(1, S + 1):
+            w = gcd(s, 30)
+            want += sum(1 for r in range(1, R + 1) if gcd(r, w) == 1)
+            r_lo = max(s * p0 // p1, s * q0 // q1) + 1
+            if minus_form and r_lo <= R:
+                want += sum(1 for r in range(r_lo, R + 1) if gcd(r, w) == 1)
+                inside += gcd(r_lo, w) > 1
+        assert want < 0.7 * R * S * (1 + minus_form)  # vs one remainder a pair
+        assert inside or not minus_form  # a row's minus pairs start mid-class
+        calls = []
+        real_mod = attack.mod
+
+        def counted(a, b):
+            calls.append(None)
+            return real_mod(a, b)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(attack, "mod", counted)
+            got = attack.vvt_scan(*args)
+        assert len(calls) == want
+        assert got[0] is None and got == _reference_scan(*args)
 
     def test_scan_matches_reference_on_three_primes(self):
         # n = 11 * 13 * 1009 with e inverse to (143 - 1) * (1009 - 1): the
@@ -414,6 +458,18 @@ class TestVvtExhaustive:
                                 if s % p == 0 and is_probable_prime(p)]
             assert attack._coprime_count(lo, hi, divisors) == sum(
                 1 for r in range(lo + 1, hi + 1) if gcd(r, s) == 1)
+
+    def test_coprime_pairs(self):
+        # A block's plus pairs in closed form against gcds, for blocks that
+        # start at row 1 and past it, empty ones and r_max above and below
+        # the block's rows.
+        rng = random.Random(21)
+        for _ in range(300):
+            r_max, s_lo = rng.randrange(1, 120), rng.randrange(1, 120)
+            s_hi = s_lo + rng.randrange(0, 120)
+            assert attack._coprime_pairs(r_max, s_lo, s_hi) == sum(
+                1 for s in range(s_lo, s_hi) for r in range(1, r_max + 1)
+                if gcd(r, s) == 1)
 
     def test_bound_modes(self):
         pub, priv = keygen_weak(96, 4, 5)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rsacf import attack, cli, contfrac, keygen_weak, read_key, write_key
+from rsacf import attack, cli, contfrac, keygen_weak, read_key, workers, write_key
 from rsacf.cli import main
 
 # 96-bit key, d about 4 * n^0.25, recoverable only through the minus form
@@ -310,6 +310,34 @@ def test_mitm_chain_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
         raise AssertionError("a power chain was started")
     monkeypatch.setattr(attack, "mod_pow", no_chain)
     _assert_capped(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--rmax", "1099511627776", "--smax", "16"),
+    ("--bound-mode", "fixed4d", "--d-ratio", "1e12"),
+], ids=["rmax-2^40", "fixed4d-1e12"])
+def test_mitm_cap_refused_before_any_job(tmp_path, capsys, monkeypatch, flags):
+    # A 1024-bit key, whose 2^e mod n would go to a worker beside its
+    # set-up: bounds the same at every anchor are refused before that, with
+    # the line a 96-bit key gets, and no job list is run.
+    argv = ("attack", "--variant", "mitm", *flags)
+    small = tmp_path / "k96.txt"
+    write_key(small, keygen_weak(96, 16, 0)[0])
+    want = _run_quiet([*argv, "--key", str(small)])
+    monkeypatch.setattr(workers, "_cpus", lambda: 1)  # the key is made here
+    pub, _ = keygen_weak(1024, 4, 1)
+    key = tmp_path / "k.txt"
+    write_key(key, pub)
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
+    assert workers.ways(attack._muls(pub.e), pub.n.bit_length()) == 2
+
+    def no_job(*args):
+        raise AssertionError("a job list was run")
+    monkeypatch.setattr(workers, "run", no_job)
+    code, out, err = run(capsys, *argv, "--key", str(key))
+    _assert_input_error(code, out, err)
+    assert "exceed the cap" in err
+    assert (code, out, err) == want
 
 
 @pytest.mark.parametrize("argv", [

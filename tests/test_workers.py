@@ -65,11 +65,16 @@ class TestScanBlocks:
     @given(bits=st.integers(32, 96), d_ratio=st.sampled_from([0.5, 1, 4, 16]),
            seed=st.integers(0, 2**63 - 1), approx=st.sampled_from(("plain", "improved")),
            pick=st.integers(0, 1 << 10), r_max=st.integers(1, 40),
-           s_max=st.integers(1, 40), minus_form=st.booleans(),
-           cuts=st.lists(st.integers(2, 40), max_size=6), per_list=st.integers(1, 3))
+           s_max=st.integers(1, 64), minus_form=st.booleans(),
+           cuts=st.lists(st.integers(2, 64), max_size=6), per_list=st.integers(1, 3))
     # p1 = 0 on every row: anchor -1 of a target below 1.
     @example(bits=64, d_ratio=1, seed=0, approx="plain", pick=0, r_max=40,
              s_max=40, minus_form=True, cuts=[7, 20], per_list=2)
+    # Anchor m' + 1, whose rows 15, 30 and 60 (gcd(s, 30) = 15 or 30) start
+    # their minus pairs inside a class of r mod gcd(s, 30), the last two in
+    # blocks of their own.
+    @example(bits=96, d_ratio=16, seed=3, approx="plain", pick=15, r_max=40,
+             s_max=64, minus_form=True, cuts=[30, 31, 45, 60], per_list=2)
     def test_random_blocks_match_one_pass(self, bits, d_ratio, seed, approx, pick,
                                           r_max, s_max, minus_form, cuts, per_list):
         pub, _ = keygen_weak(bits, d_ratio, seed)
