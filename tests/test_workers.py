@@ -71,8 +71,8 @@ class TestScanBlocks:
     @example(bits=64, d_ratio=1, seed=0, approx="plain", pick=0, r_max=40,
              s_max=40, minus_form=True, cuts=[7, 20], per_list=2)
     # Anchor m' + 1, whose rows 15, 30 and 60 (gcd(s, 30) = 15 or 30) start
-    # their minus pairs inside a class of r mod gcd(s, 30), the last two in
-    # blocks of their own.
+    # their minus pairs inside a class of r mod gcd(s, 30); row 30 is a block
+    # of its own and row 60 starts one.
     @example(bits=96, d_ratio=16, seed=3, approx="plain", pick=15, r_max=40,
              s_max=64, minus_form=True, cuts=[30, 31, 45, 60], per_list=2)
     def test_random_blocks_match_one_pass(self, bits, d_ratio, seed, approx, pick,
