@@ -92,17 +92,55 @@ def _mr_rounds(n: int, bases) -> bool:
     return True
 
 
+def _mr_each(tests):
+    """[_mr_rounds(n, bases) for n, bases in tests]: a job of workers.run."""
+    return [_mr_rounds(n, bases) for n, bases in tests]
+
+
+def _bases(n: int, rng: random.Random):
+    """The 64 Miller-Rabin bases of odd n above 2^64, drawn from rng, or
+    None if n has a factor below 1000.
+
+    Trial division by the first twelve primes comes first and draws
+    nothing; the bases are drawn before the gcd with the odd primes below
+    1000, as they were before the gcd was added, so rng advances by 64
+    draws whatever the gcd finds.
+    """
+    for p in _SMALL_PRIMES[:12]:
+        if n % p == 0:
+            return None
+    bases = [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_BIG)]
+    return bases if gcd(n, _ODD_PRIMORIAL) == 1 else None
+
+
+def _prove(tests):
+    """Whether each (n, bases) of tests, n of one size, passes a round to
+    every base. The rounds of all of them go in one job list, split over
+    the workers (workers.ways): the bases, taken in turn, are dealt to the
+    jobs in turn, so no job has more than one round over another."""
+    bits = tests[0][0].bit_length()
+    ways = workers.ways(sum(len(b) for _, b in tests) * bits, bits)
+    jobs, dealt = [[] for _ in range(ways)], 0
+    for n, bases in tests:
+        for i, job in enumerate(jobs):
+            job.append((n, bases[(i - dealt) % ways::ways]))
+        dealt += len(bases)
+    parts = workers.run(_mr_each, [(job,) for job in jobs])
+    return [all(part[j] for part in parts) for j in range(len(tests))]
+
+
 def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Exact below 2^64. Above it, trial division by the first twelve primes,
     64 bases drawn from rng (random.Random(n) if None), then a gcd with the
     odd primes below 1000, and a Miller-Rabin round to each base.
 
-    The bases are drawn before the gcd, so rng advances by 64 draws for
-    every n without a factor among the first twelve primes, whatever the
-    gcd finds: keygen_weak's keys do not depend on it. The first round runs
-    here; it turns away almost every composite. The other 63 are split over
-    the workers (workers.ways), so an accepted prime of RSA size uses every
-    CPU.
+    rng advances by 64 draws for every n without a factor among the first
+    twelve primes, whatever the gcd finds (_bases), so keygen_weak's keys
+    do not depend on it. The first round runs here; it turns away almost
+    every composite. The other 63 are split over the workers (_prove), so
+    a prime of RSA size uses every CPU. keygen_weak does not call this
+    above 2^64: its search (_prime_pair) makes the same draws and rounds,
+    spread over the workers from the first round on.
     """
     if n < 2:
         return False
@@ -110,23 +148,56 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
         if n % 2 == 0 or gcd(n, _ODD_PRIMORIAL) != 1:
             return n < 1000 and n in _SMALL_PRIMES
         return _mr_rounds(n, [a for a in _MR_BASES_64 if a % n])
-    for p in _SMALL_PRIMES[:12]:
-        if n % p == 0:
-            return False
-    rng = rng or random.Random(n)
-    bases = [rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_BIG)]
-    if gcd(n, _ODD_PRIMORIAL) != 1 or not _mr_rounds(n, bases[:1]):
+    bases = _bases(n, rng or random.Random(n))
+    if bases is None or not _mr_rounds(n, bases[:1]):
         return False
-    rest, bits = bases[1:], n.bit_length()
-    ways = workers.ways(len(rest) * bits, bits)
-    return all(workers.run(_mr_rounds, [(n, rest[i::ways]) for i in range(ways)]))
+    return _prove([(n, bases[1:])])[0]
 
 
-def _random_prime(rng: random.Random, bits: int) -> int:
-    while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(cand, rng):
-            return cand
+def _prime_pair(rng: random.Random, bits: int):
+    """The first two primes of rng's stream of bits-bit candidates, in
+    stream order, with rng left as it was after the second one's draws.
+
+    A candidate is getrandbits(bits) with its top and bottom bits set.
+    Below 65 bits is_probable_prime decides it, exactly and drawing
+    nothing. Above, its bases are drawn right after it (_bases), and it is
+    a prime if it passes a Miller-Rabin round to each of them, as in
+    is_probable_prime(candidate, rng): the pair, and rng's state after it,
+    are those of a search that tests one candidate at a time.
+
+    Above 2^64 the search is spread over the workers (workers.ways). The
+    candidates that survive trial division and the gcd go in job lists of
+    one a CPU, which make their first rounds and are read in stream
+    order; the first two that pass make their other 63 rounds in one list
+    (_prove). One that fails a later round is dropped, and the search
+    goes on from the candidate after it, already drawn and screened.
+    Inside a job the search runs serially, as workers.ways is 1.
+    """
+    top = (1 << (bits - 1)) | 1
+    if bits <= 64:
+        primes = []
+        while len(primes) < 2:
+            cand = rng.getrandbits(bits) | top
+            if is_probable_prime(cand):
+                primes.append(cand)
+        return primes[0], primes[1]
+    ways = workers.ways(2 * bits, bits)  # a first round a CPU, from 512 bits
+    passed, primes = [], []  # (candidate, bases, rng's state after them)
+    while len(primes) < 2:
+        while len(primes) + len(passed) < 2:
+            batch = []
+            while len(batch) < ways:
+                cand = rng.getrandbits(bits) | top
+                bases = _bases(cand, rng)
+                if bases:
+                    batch.append((cand, bases, rng.getstate()))
+            firsts = workers.run(_mr_each, [([(c, b[:1])],) for c, b, _ in batch])
+            passed += [c for c, [ok] in zip(batch, firsts) if ok]
+        proving, passed = passed[:2 - len(primes)], passed[2 - len(primes):]
+        oks = _prove([(c, b[1:]) for c, b, _ in proving])
+        primes += [c for c, ok in zip(proving, oks) if ok]
+    rng.setstate(primes[1][2])
+    return primes[0][0], primes[1][0]
 
 
 def keygen_weak(modulus_bits: int, d_ratio, seed: int):
@@ -137,6 +208,11 @@ def keygen_weak(modulus_bits: int, d_ratio, seed: int):
     at 96 bits, 14 at 512), and never modulus_bits when it is odd.
     d is drawn uniformly (odd, coprime to phi) from
     [max(3, 0.9 * d_ratio * n^0.25), 1.1 * d_ratio * n^0.25].
+
+    p and q are the first two primes of one seeded stream of candidates
+    (_prime_pair), and d is drawn from the same rng after q's draws. Above
+    2^64 the prime search runs on every CPU (workers.ways); the key is the
+    one a one-CPU search makes.
     """
     if modulus_bits < 32:
         raise ValueError("modulus_bits must be >= 32")
@@ -148,8 +224,7 @@ def keygen_weak(modulus_bits: int, d_ratio, seed: int):
     rng = random.Random(seed)
     half = modulus_bits // 2
     for _ in range(64):
-        p = _random_prime(rng, half)
-        q = _random_prime(rng, half)
+        p, q = _prime_pair(rng, half)
         if p == q:
             continue
         if p > q:

@@ -30,11 +30,15 @@ import os
 # A bench success key (keygen_weak, its search and at most one rescue) is
 # bench.KEY_OPS = 2^11 operations of its bits, 2^18 at 128 bits. Measured
 # serially, one takes about 1 ms at 128 bits and 0.5 ms at 64, so a table
-# splits from 2 keys at 128 bits or 4 at 64. A prime candidate above 2^64
-# that passes its first Miller-Rabin round splits the other 63, 63
-# operations of its bits, from 92 bits. A round at 512 bits takes about
-# 1 ms, so an accepted 512-bit prime takes 35-45 ms on 2 CPUs against
-# 64-82 ms in one process; an accepted 128-bit one took 3.0 ms against 4.9.
+# splits from 2 keys at 128 bits or 4 at 64. A Miller-Rabin round is about
+# as many operations as its candidate has bits. keygen_weak's prime search
+# screens first rounds one candidate a CPU once two rounds reach the
+# threshold, from 512 bits, and proves its two primes' other 126 rounds in
+# one list from 65 bits; is_probable_prime alone splits a prime's 63 from
+# 92 bits. A round at 512 bits took 0.8-1.2 ms, and the 8 keys of
+# keygen_weak(1024, 4, 1000..1007) took 0.86-0.99 s on 2 CPUs against
+# 1.50-1.68 s in one process and 0.88-1.14 s when only each prime's 63
+# rounds were split.
 MIN_WORK = 1 << 19
 
 _owner = None  # the pid whose workers _workers holds

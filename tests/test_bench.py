@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from rsacf import attack, bench, contfrac, workers
+from rsacf import attack, bench, contfrac, rsa, workers
 from rsacf.bench import (
     SUCCESS_BOUND_ROWS,
     bound_table,
@@ -155,6 +155,30 @@ class TestSuccessTable:
         assert workers.ways(trials, bench.KEY_OPS * bits) == cpus
         assert rows[0] == rows[float("inf")]
         workers.shutdown()  # the next test forks after its own patches
+
+    def test_primes_above_2_64_searched_in_jobs(self, monkeypatch):
+        # At 160 bits a key's primes have 80 bits, so keygen_weak's search
+        # could split them; inside a key's job, here or in the worker, it
+        # runs serially, and every table is the one made with workers off.
+        searches, prime_pair = [], rsa._prime_pair
+
+        def in_job(rng, bits):
+            searches.append(bits)
+            if workers.ways(1 << 30, bits) != 1:
+                raise AssertionError("a prime search split inside a job")
+            return prime_pair(rng, bits)
+
+        monkeypatch.setattr(rsa, "_prime_pair", in_job)
+        monkeypatch.setattr(workers, "_cpus", lambda: 2)
+        rows = {}
+        for min_work in (float("inf"), 0):
+            workers.shutdown()
+            monkeypatch.setattr(workers, "MIN_WORK", min_work)
+            rows[min_work] = success_table(160, 16, 8, 5)
+        workers.shutdown()
+        # 8 searches with workers off, then this process's share of 4.
+        assert searches == [80] * 12
+        assert rows[0] == rows[float("inf")]
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

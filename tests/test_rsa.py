@@ -18,6 +18,7 @@ from rsacf import (
     keygen_weak,
     method1_factor,
     read_key,
+    rsa,
     workers,
     write_key,
 )
@@ -145,6 +146,87 @@ def test_split_rounds_match_serial(monkeypatch, n, prime):
         assert lists == ([2, 1] if prime else [2])
     finally:
         workers.shutdown()
+
+
+def _split(monkeypatch, cpus):
+    """Runs from here on split every job list over cpus CPUs, in workers
+    forked after the caller's patches; returns the lengths of the lists."""
+    lists, run = [], workers.run
+
+    def recorded(fn, jobs):
+        lists.append(len(jobs))
+        return run(fn, jobs)
+
+    workers.shutdown()
+    monkeypatch.setattr(workers, "_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "MIN_WORK", 0)
+    monkeypatch.setattr(workers, "run", recorded)
+    return lists
+
+
+def _serial_primes(seed, bits):
+    """The primes of random.Random(seed)'s stream of bits-bit candidates,
+    each with its last Miller-Rabin base and the rng's state after it,
+    found one candidate at a time."""
+    rng = random.Random(seed)
+    while True:
+        cand = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        state = rng.getstate()
+        if is_probable_prime(cand, rng):
+            rng.setstate(state)
+            last = rsa._bases(cand, rng)[-1]
+            yield cand, last, rng.getstate()
+
+
+class TestSplitSearch:
+    # keygen_weak searches each key's primes over every CPU: it screens the
+    # first rounds of several candidates at once and proves two primes'
+    # other rounds in one list. Every key is the one-CPU search's.
+    @pytest.mark.parametrize("bits", [130, 256, 512])
+    def test_keys_match_one_cpu(self, monkeypatch, bits):
+        args = [(bits, ratio, seed) for seed in (0, 1, 0xC0FFEE) for ratio in (0.5, 16)]
+        lists = _split(monkeypatch, 1)
+        try:
+            serial = [keygen_weak(*a) for a in args]
+            assert set(lists) == {1}
+            monkeypatch.setattr(workers, "_cpus", lambda: 2)
+            del lists[:]
+            assert [keygen_weak(*a) for a in args] == serial
+            assert set(lists) == {2}
+        finally:
+            workers.shutdown()
+
+    @pytest.mark.parametrize("bits", [65, 130, 256])
+    @pytest.mark.parametrize("fail", [(0,), (1,), (0, 1), (1, 2)],
+                             ids=["p", "q", "p-and-q", "q-and-next"])
+    def test_later_round_failure_resumes_in_order(self, monkeypatch, bits, fail):
+        # Of the stream's first three primes, those of fail fail the round to
+        # their last base. Split, that round is in this process's share for
+        # the first of two candidates proved together and in the worker's,
+        # forked after the patch, for the second. The search goes on from
+        # the candidate after each, in stream order, and leaves the rng
+        # where the one-candidate-at-a-time search does.
+        stream = _serial_primes(7, bits)
+        firsts = [next(stream) for _ in range(3)]
+        planted = {firsts[i][:2] for i in fail}
+        mr_rounds = rsa._mr_rounds
+
+        def failing(n, bases):
+            return not any((n, a) in planted for a in bases) and mr_rounds(n, bases)
+
+        monkeypatch.setattr(rsa, "_mr_rounds", failing)
+        lists = _split(monkeypatch, 2)
+        try:
+            rng = random.Random(7)
+            got = rsa._prime_pair(rng, bits)
+            assert 2 in lists
+        finally:
+            workers.shutdown()
+        monkeypatch.setattr(workers, "_cpus", lambda: 1)
+        stream = _serial_primes(7, bits)
+        (p, _, _), (q, _, state) = next(stream), next(stream)
+        assert got == (p, q) and not {p, q} & {n for n, _ in planted}
+        assert rng.getstate() == state
 
 
 class TestMethod1:
