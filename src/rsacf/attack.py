@@ -97,7 +97,9 @@ class Stats:
     a chain, and a mod_pow with exponent x as square-and-multiply does it,
     x.bit_length() - 1 squares and popcount(x) - 1 multiplies. A mod_inv,
     an extended Euclid rather than a chain of products, is charged as one;
-    at 128 to 1024 bits it takes about the time of 30 to 50.
+    at 128 to 1024 bits it takes about the time of 30 to 50. The four
+    reductions of a chain's limb table (mitm_table.power_chain_fps, from
+    LIMB_MIN_BITS) are not charged: a step costs one either way.
 
     method1_trials counts factor-recovery attempts: the Wiener pass of the
     key's context (KeyContext.wiener_trials), which every search of the key

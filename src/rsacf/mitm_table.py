@@ -31,6 +31,11 @@ from .numeric import NotInvertibleError
 ROW_MODULUS = 30
 MIN_WIDTH = 16
 MAX_WIDTH = 64
+# The modulus size from which power_chain_fps steps by its limb table. On
+# 2 vCPUs (CPython 3.11) the limb step ran 0.92x the plain step's speed at
+# 512 bits, about 1.0x from 544 to 640, 1.10x at 672 and 1.2-1.3x at 1024;
+# below 512 it loses more (0.72x at 256 and 384).
+LIMB_MIN_BITS = 640
 
 
 def _check_width(w):
@@ -56,12 +61,32 @@ def power_chain_fps(start, mult, n, count, mask):
 
     Returns (fps, modmuls, last): one modular multiplication per step after
     the first value, and the last value, from which a chain continues.
+
+    From LIMB_MIN_BITS, a step splits cur into four k-bit limbs,
+    k = ceil(bits / 4), and multiplies limb i by t_i = mult * 2^(k*i) mod n,
+    made once a chain: the sum is about k + 2 bits wider than n, so its one
+    % n divides far less than cur * mult % n, whose dividend is n's bits
+    wider. Both give the same residue. The four reductions that make the
+    table are not counted in modmuls.
     """
     fps = [start & mask]
     append = fps.append
     cur = start
+    bits = n.bit_length()
+    if bits < LIMB_MIN_BITS:
+        for _ in range(count - 1):
+            cur = cur * mult % n
+            append(cur & mask)
+        return fps, count - 1, cur
+    k = -(-bits // 4)
+    k2, k3, km = 2 * k, 3 * k, (1 << k) - 1
+    t0 = mult % n
+    t1 = (t0 << k) % n
+    t2 = (t1 << k) % n
+    t3 = (t2 << k) % n
     for _ in range(count - 1):
-        cur = cur * mult % n
+        cur = ((cur & km) * t0 + (cur >> k & km) * t1 + (cur >> k2 & km) * t2
+               + (cur >> k3) * t3) % n
         append(cur & mask)
     return fps, count - 1, cur
 

@@ -17,16 +17,20 @@ import atexit
 import os
 
 # Work, in operations times operand bits, below which a job is not split.
-# On 2 vCPUs (CPython 3.11), a job's round trip through a worker's pipes
-# takes about 0.05 ms when the worker has just answered, but 0.2-0.3 ms
-# after 2 ms idle and 0.4-0.5 ms after 20 ms, as the idle worker wakes up;
-# a chain fingerprint sent back costs about 0.1 us. 2^19 is 512 chain steps
-# of 1024 bits, about 3 ms, or about 5,500 oracle pairs of 96 bits, about
-# 0.7 ms. A 64-step 1024-bit chain, the first stage's, took 0.53-0.59 ms on
-# the worker, round trip included, against 0.33-0.37 ms here, so it is not
-# split. A recovered 1024-bit mitm key splits twice: B = 2^e mod n, about
-# 1,536 multiplications, beside the key's set-up, and the two powers of
-# about 256 bits, about 760 multiplications together, as one list of two.
+# On 2 vCPUs (CPython 3.11), with 8-12% of the CPU ticks stolen by the
+# host, a one-step job's round trip through a worker's pipes took a median
+# of 0.13 ms when the worker had just answered, 0.24 ms after 0.4 ms idle,
+# 0.51 ms after 2 ms and 0.58 ms after 20 ms, as the idle worker wakes up;
+# at about 30% steal it took about 1 ms. A chain fingerprint sent back
+# costs about 0.1 us. 2^19 is 512 chain steps of 1024 bits, 2.8-3.0 ms with
+# the limb step (mitm_table.LIMB_MIN_BITS), or about 5,500 oracle pairs of
+# 96 bits, about 0.7 ms. Split over 2 CPUs those 512 steps took 2.4-2.6 ms,
+# a small gain with a wide upper quartile (3.2-5.8 ms). A 64-step 1024-bit
+# chain, the first stage's, took 0.85-1.30 ms on the worker, round trip
+# included, against 0.36-0.42 ms here, so it is not split. A recovered
+# 1024-bit mitm key splits twice: B = 2^e mod n, about 1,536
+# multiplications, beside the key's set-up, and the two powers of about
+# 256 bits, about 760 multiplications together, as one list of two.
 # A bench success key (keygen_weak, its search and at most one rescue) is
 # bench.KEY_OPS = 2^11 operations of its bits, 2^18 at 128 bits. Measured
 # serially, one takes about 1 ms at 128 bits and 0.5 ms at 64, so a table

@@ -6,6 +6,8 @@ import tracemalloc
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rsacf import (
     FingerprintTable,
@@ -13,9 +15,38 @@ from rsacf import (
     fingerprint,
     fingerprint_width,
 )
-from rsacf.mitm_table import power_chain_fps
+from rsacf.mitm_table import LIMB_MIN_BITS, power_chain_fps
 
 N = 104729 * 104723  # product of two primes, coprime to small bases
+# An odd 1024-bit modulus not divisible by 3, above LIMB_MIN_BITS: its
+# chains take the limb step.
+N1024 = (1 << 1023) + 5
+
+# Moduli sizes on both sides of LIMB_MIN_BITS, some not divisible by 4.
+CHAIN_BITS = [96, 383, LIMB_MIN_BITS - 1, LIMB_MIN_BITS, LIMB_MIN_BITS + 1, 1023, 1024, 2048]
+
+
+def _plain_chain(start, mult, n, count, mask):
+    """The reference chain: one cur * mult % n a step."""
+    cur, fps = start, [start & mask]
+    for _ in range(count - 1):
+        cur = cur * mult % n
+        fps.append(cur & mask)
+    return fps, count - 1, cur
+
+
+@st.composite
+def _chains(draw):
+    """(start, mult, n, count, mask) for an odd n of one of CHAIN_BITS bits,
+    with start and mult among 1, n - 1 and any residue, start also >= n."""
+    bits = draw(st.sampled_from(CHAIN_BITS))
+    n = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    residue = st.one_of(st.just(1), st.just(n - 1), st.integers(0, n - 1))
+    start = draw(st.one_of(residue, st.integers(n, n << 8)))
+    mult = draw(residue)
+    count = draw(st.integers(1, 300))
+    mask = (1 << draw(st.sampled_from([16, 52, 64]))) - 1
+    return start, mult, n, count, mask
 
 
 class TestFingerprint:
@@ -64,11 +95,25 @@ class TestBuild:
         assert table.R == 100
 
     def test_chain_values_are_powers(self):
-        fps, modmuls, last = power_chain_fps(3, 3, N, 20, (1 << 40) - 1)
-        assert modmuls == 19
-        assert last == pow(3, 20, N)
-        for r, fp in enumerate(fps, 1):
-            assert fp == pow(3, r, N) & ((1 << 40) - 1)
+        # N takes the plain step, N1024 the limb step.
+        for n, count, w in ((N, 20, 40), (N1024, 300, 64)):
+            fps, modmuls, last = power_chain_fps(3, 3, n, count, (1 << w) - 1)
+            assert modmuls == count - 1
+            assert last == pow(3, count, n)
+            for r, fp in enumerate(fps, 1):
+                assert fp == pow(3, r, n) & ((1 << w) - 1)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_chains())
+    @example((N + 5, N - 1, N, 300, (1 << 16) - 1))
+    @example(((1 << (LIMB_MIN_BITS - 1)) + 7, 3, (1 << (LIMB_MIN_BITS - 2)) + 1, 300, (1 << 52) - 1))
+    @example(((1 << LIMB_MIN_BITS) + 7, 3, (1 << (LIMB_MIN_BITS - 1)) + 1, 300, (1 << 52) - 1))
+    @example((N1024 << 8, N1024 - 1, N1024, 300, (1 << 64) - 1))
+    @example((1, 1, N1024, 1, (1 << 64) - 1))
+    def test_chain_matches_plain_steps(self, args):
+        # Fingerprints, step count and last value are the plain chain's, on
+        # either side of LIMB_MIN_BITS.
+        assert power_chain_fps(*args) == _plain_chain(*args)
 
     def test_nominal_bytes_matches_held_memory(self):
         # At w = 16 most of the 2^14 fingerprints repeat, so the lists of

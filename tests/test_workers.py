@@ -162,6 +162,27 @@ def test_split_chains_match_serial(monkeypatch, d_ratio, seed, outcome):
         _pow_cost(x) * c for x, c in extra.items())
 
 
+# Every --stats counter but wall_time and table_bytes of the exhausted
+# search of keygen_weak(1024, 2^20, 7) at R = S = 2^14, serial and split over
+# 2 CPUs: (modmuls, probes, collisions, method1_trials, rows_examined,
+# rows_skipped, m_tried). Its chains take the limb step, whose table is not
+# charged; the split's modmuls add the powers that start the later ranges.
+EXHAUSTED_1024_COUNTERS = {
+    "serial": (68620, 65472, 0, 577, 0, 0, 3),
+    "split": (68804, 65472, 0, 577, 0, 0, 3),
+}
+
+
+@pytest.mark.parametrize("mode", ["serial", "split"])
+def test_exhausted_1024_counters(monkeypatch, mode):
+    pub, _ = keygen_weak(1024, 2**20, 7)
+    res, _ = _mitm(pub, monkeypatch, float("inf") if mode == "serial" else workers.MIN_WORK)
+    assert res.outcome == "exhausted"
+    got = asdict(res.stats)
+    del got["wall_time"], got["table_bytes"]
+    assert tuple(got.values()) == EXHAUSTED_1024_COUNTERS[mode]
+
+
 @functools.cache
 def _key_1024(d_ratio):
     """keygen_weak(1024, d_ratio, 1), made once for the tests below."""
