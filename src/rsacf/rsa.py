@@ -138,9 +138,12 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     twelve primes, whatever the gcd finds (_bases), so keygen_weak's keys
     do not depend on it. The first round runs here; it turns away almost
     every composite. The other 63 are split over the workers (_prove), so
-    a prime of RSA size uses every CPU. keygen_weak does not call this
-    above 2^64: its search (_prime_pair) makes the same draws and rounds,
-    spread over the workers from the first round on.
+    a prime of RSA size uses every CPU. n may be any number, chosen to
+    fool the test, so every one of the 64 rounds is made: only the
+    worst-case bound, 4^-64 for a composite, holds. keygen_weak does not
+    call this above 2^64: its search (_prime_pair) makes the same draws,
+    and as many rounds as the average-case bound on random candidates asks
+    (_proving_rounds), spread over the workers from the first round on.
     """
     if n < 2:
         return False
@@ -154,22 +157,60 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     return _prove([(n, bases[1:])])[0]
 
 
+_PROVING_ROUNDS = {}  # bits -> _proving_rounds(bits), filled as asked
+
+
+def _proving_rounds(bits: int) -> int:
+    """How many Miller-Rabin rounds, to the first of its 64 drawn bases,
+    prove a random bits-bit candidate prime in _prime_pair.
+
+    For a random odd k-bit candidate, the chance that a composite passes t
+    rounds to random bases is at most
+
+        k^(3/2) * 2^t * t^(-1/2) * 4^(2 - sqrt(t * k))
+
+    for k >= 21 and 3 <= t <= k/9 (Damgard, Landrock and Pomerance,
+    "Average case error estimates for the strong probable prime test",
+    Math. Comp. 61 (1993); Menezes, van Oorschot and Vanstone, Handbook of
+    Applied Cryptography, Fact 4.48). This is the smallest t in that range
+    whose bound is at most 2^-128, the worst-case bound of 64 rounds, and
+    64 where no t in it reaches 2^-128: up to 256 bits. It is 12 at 512
+    bits and 6 at 1024.
+    """
+    t = _PROVING_ROUNDS.get(bits)
+    if t is None:
+        in_range = range(3, min(_MR_ROUNDS_BIG, bits // 9) + 1)
+        t = next((t for t in in_range
+                  if bits**1.5 * 2**t / t**0.5 * 4 ** (2 - (t * bits) ** 0.5) <= 2**-128),
+                 _MR_ROUNDS_BIG)
+        _PROVING_ROUNDS[bits] = t
+    return t
+
+
 def _prime_pair(rng: random.Random, bits: int):
     """The first two primes of rng's stream of bits-bit candidates, in
     stream order, with rng left as it was after the second one's draws.
 
     A candidate is getrandbits(bits) with its top and bottom bits set.
     Below 65 bits is_probable_prime decides it, exactly and drawing
-    nothing. Above, its bases are drawn right after it (_bases), and it is
-    a prime if it passes a Miller-Rabin round to each of them, as in
-    is_probable_prime(candidate, rng): the pair, and rng's state after it,
-    are those of a search that tests one candidate at a time.
+    nothing. Above, its 64 bases are drawn right after it (_bases), and it
+    is a prime if it passes a Miller-Rabin round to each of the first
+    t = _proving_rounds(bits) of them: 64 up to 256 bits, 12 at 512, 6 at
+    1024. The other 64 - t are drawn and never used, so rng advances as in
+    is_probable_prime(candidate, rng) and every candidate is the one that
+    search draws: the draws keep every key the one that 64 rounds made. (A
+    change that alters every key anyway, such as redrawing q until n has
+    the asked size, may drop them.) A prime passes every round, so the
+    pair, and rng's state after it, equal those of a search that tests one
+    candidate at a time with is_probable_prime, unless a composite passes
+    the first t rounds (a chance of at most 2^-128 a candidate) and would
+    fail a later one.
 
     Above 2^64 the search is spread over the workers (workers.ways). The
     candidates that survive trial division and the gcd go in job lists of
     one a CPU, which make their first rounds and are read in stream
-    order; the first two that pass make their other 63 rounds in one list
-    (_prove). One that fails a later round is dropped, and the search
+    order; the first two that pass make their other t - 1 rounds in one
+    list (_prove). One that fails a later round is dropped, and the search
     goes on from the candidate after it, already drawn and screened.
     Inside a job the search runs serially, as workers.ways is 1.
     """
@@ -182,6 +223,7 @@ def _prime_pair(rng: random.Random, bits: int):
                 primes.append(cand)
         return primes[0], primes[1]
     ways = workers.ways(2 * bits, bits)  # a first round a CPU, from 512 bits
+    t = _proving_rounds(bits)
     passed, primes = [], []  # (candidate, bases, rng's state after them)
     while len(primes) < 2:
         while len(primes) + len(passed) < 2:
@@ -194,7 +236,7 @@ def _prime_pair(rng: random.Random, bits: int):
             firsts = workers.run(_mr_each, [([(c, b[:1])],) for c, b, _ in batch])
             passed += [c for c, [ok] in zip(batch, firsts) if ok]
         proving, passed = passed[:2 - len(primes)], passed[2 - len(primes):]
-        oks = _prove([(c, b[1:]) for c, b, _ in proving])
+        oks = _prove([(c, b[1:t]) for c, b, _ in proving])
         primes += [c for c, ok in zip(proving, oks) if ok]
     rng.setstate(primes[1][2])
     return primes[0][0], primes[1][0]
@@ -212,7 +254,10 @@ def keygen_weak(modulus_bits: int, d_ratio, seed: int):
     p and q are the first two primes of one seeded stream of candidates
     (_prime_pair), and d is drawn from the same rng after q's draws. Above
     2^64 the prime search runs on every CPU (workers.ways); the key is the
-    one a one-CPU search makes.
+    one a one-CPU search makes. Each prime above 2^64 is proved by as many
+    Miller-Rabin rounds as the average-case bound on random candidates
+    asks (_proving_rounds: 64 up to 256 bits, 12 at 512, 6 at 1024), a
+    composite passing with a chance of at most 2^-128.
     """
     if modulus_bits < 32:
         raise ValueError("modulus_bits must be >= 32")

@@ -37,12 +37,13 @@ import os
 # splits from 2 keys at 128 bits or 4 at 64. A Miller-Rabin round is about
 # as many operations as its candidate has bits. keygen_weak's prime search
 # screens first rounds one candidate a CPU once two rounds reach the
-# threshold, from 512 bits, and proves its two primes' other 126 rounds in
-# one list from 65 bits; is_probable_prime alone splits a prime's 63 from
-# 92 bits. A round at 512 bits took 0.8-1.2 ms, and the 8 keys of
-# keygen_weak(1024, 4, 1000..1007) took 0.86-0.99 s on 2 CPUs against
-# 1.50-1.68 s in one process and 0.88-1.14 s when only each prime's 63
-# rounds were split.
+# threshold, from 512 bits, and proves its two primes' other rounds in one
+# list from 65 bits: 126 up to 256 bits, 22 at 512 (rsa._proving_rounds);
+# is_probable_prime alone splits a prime's 63 from 92 bits. A round at 512
+# bits took 0.7-1.2 ms, and the 8 keys of keygen_weak(1024, 4,
+# 1000..1007) took 0.23 s on 2 CPUs against 0.37 s in one process
+# (medians of 7 runs). A 22-round list took 8.2-8.7 ms split against
+# 15.5-16.4 ms here.
 MIN_WORK = 1 << 19
 
 _owner = None  # the pid whose workers _workers holds

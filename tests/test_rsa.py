@@ -166,15 +166,16 @@ def _split(monkeypatch, cpus):
 
 def _serial_primes(seed, bits):
     """The primes of random.Random(seed)'s stream of bits-bit candidates,
-    each with its last Miller-Rabin base and the rng's state after it,
-    found one candidate at a time."""
+    each with the last Miller-Rabin base that keygen_weak's search uses
+    (_proving_rounds) and the rng's state after it, found one candidate at
+    a time."""
     rng = random.Random(seed)
     while True:
         cand = rng.getrandbits(bits) | 1 << (bits - 1) | 1
         state = rng.getstate()
         if is_probable_prime(cand, rng):
             rng.setstate(state)
-            last = rsa._bases(cand, rng)[-1]
+            last = rsa._bases(cand, rng)[rsa._proving_rounds(bits) - 1]
             yield cand, last, rng.getstate()
 
 
@@ -196,12 +197,13 @@ class TestSplitSearch:
         finally:
             workers.shutdown()
 
-    @pytest.mark.parametrize("bits", [65, 130, 256])
+    @pytest.mark.parametrize("bits", [65, 130, 256, 512])
     @pytest.mark.parametrize("fail", [(0,), (1,), (0, 1), (1, 2)],
                              ids=["p", "q", "p-and-q", "q-and-next"])
     def test_later_round_failure_resumes_in_order(self, monkeypatch, bits, fail):
         # Of the stream's first three primes, those of fail fail the round to
-        # their last base. Split, that round is in this process's share for
+        # the last base that the search uses: the 64th up to 256 bits, the
+        # 12th at 512. Split, that round is in this process's share for
         # the first of two candidates proved together and in the worker's,
         # forked after the patch, for the second. The search goes on from
         # the candidate after each, in stream order, and leaves the rng
@@ -227,6 +229,55 @@ class TestSplitSearch:
         (p, _, _), (q, _, state) = next(stream), next(stream)
         assert got == (p, q) and not {p, q} & {n for n, _ in planted}
         assert rng.getstate() == state
+
+
+    def test_rounds_sent_to_prove(self, monkeypatch):
+        # A 512-bit prime of keygen_weak's search makes 12 rounds: the
+        # screen's first, then 11 in the proving list. is_probable_prime,
+        # which serves any n, still makes all 64.
+        sent, prove = [], rsa._prove
+
+        def spy(tests):
+            sent.extend(len(bases) for _, bases in tests)
+            return prove(tests)
+
+        monkeypatch.setattr(rsa, "_prove", spy)
+        _, priv = keygen_weak(1024, 4, 1)
+        assert sent and set(sent) == {11}
+        del sent[:]
+        assert priv.p.bit_length() == 512 and is_probable_prime(priv.p)
+        assert sent == [63]
+
+
+def _dlp_bound(k, t):
+    """Damgard, Landrock and Pomerance (Math. Comp. 61, 1993; HAC Fact
+    4.48): the chance that t Miller-Rabin rounds to random bases pass a
+    random odd k-bit composite is at most this, for k >= 21 and
+    3 <= t <= k/9."""
+    return k**1.5 * 2**t / t**0.5 * 4 ** (2 - (t * k) ** 0.5)
+
+
+class TestProvingRounds:
+    @pytest.mark.parametrize("bits", [65, 130, 256])
+    def test_64_where_the_bound_does_not_reach(self, bits):
+        assert rsa._proving_rounds(bits) == 64
+
+    def test_pinned(self):
+        assert (rsa._proving_rounds(512), rsa._proving_rounds(1024)) == (12, 6)
+
+    def test_smallest_t_within_2_to_the_minus_128(self):
+        sizes = range(65, 4097)
+        rounds = [rsa._proving_rounds(k) for k in sizes]
+        assert all(a >= b for a, b in zip(rounds, rounds[1:]))
+        for k, t in zip(sizes, rounds):
+            in_range = range(3, k // 9 + 1)
+            if t == 64:
+                # The worst-case bound of 64 rounds, 4^-64; no t the
+                # average-case bound covers reaches it.
+                assert all(_dlp_bound(k, u) > 2**-128 for u in in_range), k
+            else:
+                assert t in in_range and _dlp_bound(k, t) <= 2**-128, k
+                assert t - 1 < 3 or _dlp_bound(k, t - 1) > 2**-128, k
 
 
 class TestMethod1:
