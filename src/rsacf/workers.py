@@ -41,9 +41,9 @@ import os
 # list from 65 bits: 126 up to 256 bits, 22 at 512 (rsa._proving_rounds);
 # is_probable_prime alone splits a prime's 63 from 92 bits. A round at 512
 # bits took 0.7-1.2 ms, and the 8 keys of keygen_weak(1024, 4,
-# 1000..1007) took 0.23 s on 2 CPUs against 0.37 s in one process
-# (medians of 7 runs). A 22-round list took 8.2-8.7 ms split against
-# 15.5-16.4 ms here.
+# 1000..1007) took 0.23-0.27 s on 2 CPUs against 0.37 s in one process
+# (medians of 7 runs, two sets). A 22-round list took 8.2-8.7 ms split
+# against 15.5-16.4 ms here.
 MIN_WORK = 1 << 19
 
 _owner = None  # the pid whose workers _workers holds
