@@ -19,7 +19,7 @@ from operator import indexOf, mod
 from . import contfrac, workers
 from .mitm_table import ROW_MODULUS, FingerprintTable, fingerprint_width, power_chain_fps
 from .numeric import isqrt, mod_inv, mod_pow
-from .rsa import PublicKey, method1_factor, method1_remainder, method1_try
+from .rsa import PublicKey, method1_factor, method1_remainder
 
 VARIANTS = ("wiener", "vvt", "mitm")
 BOUND_MODES = ("explicit", "fixed4d", "quotient")
@@ -259,36 +259,48 @@ def _bounds_for(cfg, cf, m):
                          f" (d_ratio {cfg.d_ratio!r})") from None
 
 
-def _anchor_windows(context, cfg, window, stats, shared=None):
+def _anchor_windows(context, cfg, stats, base=None):
     """The loop every engine shares, over the key's context: the context's
-    Wiener pass, charged to stats, then per anchor index m window(pub, cfg,
-    p0, q0, p1, q1, r_max, s_max, stats, shared, keep), which searches the
-    (r, s) window around convergents m and m + 1, bar the corners r = 1,
-    s = 0 and r = 0, s = 1 that the Wiener pass tried, and returns (an
-    AttackResult or None, shared). The first window gets the shared given
-    here. When anchor m + 1 is searched next, keep is its s_max, and the
-    shared that window m returns, or None, is handed to it; otherwise keep
-    is 0 and the next window gets None."""
+    Wiener pass, charged to stats, then per anchor index m a window
+    (_ScanWindow for vvt; for mitm _StageWindow, or _RootWindow at m = -1),
+    which searches the (r, s) box around convergents m and m + 1, bar the
+    corners r = 1, s = 0 and r = 0, s = 1 that the Wiener pass tried. Each
+    stage of a window gives its (k, d) pairs, tried here in order
+    (_first_recovered); the first recovery ends the search, and every pair
+    tried before it collides.
+
+    An anchor's bounds are made, and checked by its window, when it opens,
+    so bounds that are not finite or over a cap at a later anchor refuse
+    the search only once it gets there. When anchor m + 1 is searched next,
+    window m keeps the first keep fingerprints of its plus stream, as many
+    as anchor m + 1 reads of it as its s side, and hands them on with B
+    (hand_off). That anchor's s_max is s_max at every anchor under explicit
+    and fixed4d bounds, and at least r_max(m) under quotient bounds, where
+    both hold t3 * (a_{m+2} + 1) * D (contfrac.rs_bounds), so keep needs no
+    bounds of m + 1. The first window gets the B given here, if any.
+    """
     stats.method1_trials += context.wiener_trials
     if context.wiener is not None:
         return AttackResult("recovered", *context.wiener, stats)
     pub, cf = context.pub, context.cf
     ms = _m_candidates(context, cfg)
+    side = None  # the plus stream the window before hands on
     for i, m in enumerate(ms):
         stats.m_tried += 1
-        p0, q0 = cf.convergent(m)
-        p1, q1 = cf.convergent(m + 1)
         r_max, s_max = _bounds_for(cfg, cf, m)
-        keep = 0
-        if ms[i + 1:i + 2] == [m + 1]:
-            try:
-                keep = _bounds_for(cfg, cf, m + 1)[1]
-            except ValueError:
-                pass  # raised again when anchor m + 1 is reached
-        result, shared = window(
-            pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep)
-        if result is not None:
-            return result
+        follows = ms[i + 1:i + 2] == [m + 1]
+        keep = follows * (r_max if cfg.bound_mode == "quotient" else min(r_max, s_max))
+        kind = _ScanWindow if cfg.variant == "vvt" else _StageWindow if m >= 0 else _RootWindow
+        window = kind(pub, cfg, stats, cf.convergent(m) + cf.convergent(m + 1),
+                      r_max, s_max, keep, side, base)
+        for pairs in window.stages():
+            result = _first_recovered(pub, pairs, stats)
+            if result is not None:
+                stats.collisions += pairs.index((result.k, result.d))
+                window.close()
+                return result
+            stats.collisions += len(pairs)
+        side, base = window.hand_off()
     return AttackResult("exhausted", stats=stats)
 
 
@@ -442,7 +454,7 @@ def _scan_rows(n, e, p0, q0, p1, q1, r_max, s_lo, s_hi, minus_form):
                 continue
             t = -s if sign else s
             d, k = r * q1 + t * q0, r * p1 + t * p0
-            got = method1_try(n, e, d, k)
+            got = method1_remainder(n, k, d * e - k * n)
             if got[2] is None:
                 ps = _prime_divisors(s, r_max)
                 trials += _coprime_count(0, r, ps)
@@ -511,18 +523,6 @@ def vvt_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
             if hit is not None:
                 return hit, trials
     return None, trials
-
-
-def _scan_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
-    if r_max * s_max > VVT_MAX_PAIRS:
-        raise ValueError(f"vvt bounds ({r_max}, {s_max}) exceed the cap of"
-                         f" {VVT_MAX_PAIRS} pairs")
-    hit, trials = vvt_scan(
-        pub.n, pub.e, p0, q0, p1, q1, r_max, s_max, cfg.probe_minus_form)
-    stats.method1_trials += trials
-    if hit is None:
-        return None, None
-    return AttackResult("recovered", *hit, stats), None
 
 
 def vvt_exhaustive(pub: PublicKey, cfg: AttackConfig) -> AttackResult:
@@ -622,11 +622,6 @@ class _Side:
         self.last, self.top = parts[-1][1], end
         return fps
 
-    @property
-    def nominal_bytes(self) -> int:
-        """Bytes the index and the pending array hold."""
-        return self.index.nominal_bytes + sys.getsizeof(self.pending)
-
 
 def _drop_index(stats, side):
     """Charge the probes and rows of side's index to stats and let it go."""
@@ -637,8 +632,10 @@ def _drop_index(stats, side):
 
 
 def _note(stats, sides):
-    """Note the bytes the sides hold together in stats.table_bytes, a peak."""
-    stats.table_bytes = max(stats.table_bytes, sum(side.nominal_bytes for side in sides))
+    """Note the bytes the sides' indexes and pending arrays hold together in
+    stats.table_bytes, a peak."""
+    stats.table_bytes = max(stats.table_bytes, sum(
+        side.index.nominal_bytes + sys.getsizeof(side.pending) for side in sides))
 
 
 def _check_mitm_bounds(r_max, s_max):
@@ -647,140 +644,180 @@ def _check_mitm_bounds(r_max, s_max):
                          f" {MITM_MAX_BOUND} per side")
 
 
-def _mitm_window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
-    """Meet-in-the-middle search of anchor m, in stages.
+class _Window:
+    """What the anchor loop (_anchor_windows) asks of a window of anchor m:
+    stages(), which yields each stage's (k, d) pairs to try, in order, then
+    close() after a recovery or hand_off() once the stages run out. The
+    indexes a window holds are those of its s side, if any, and of its r
+    streams; the first stream is its plus stream."""
+
+    s_side, streams, keep, base = None, (), 0, None
+
+    def close(self, kept=None):
+        """Note the bytes the indexes hold together in stats.table_bytes,
+        then charge each index's probes and rows to stats and let it go, all
+        but kept's."""
+        sides = [side for side in (self.s_side, *self.streams)
+                 if side is not None and side.index is not None]
+        _note(self.stats, sides)
+        for side in sides:
+            if side is not kept:
+                _drop_index(self.stats, side)
+
+    def hand_off(self):
+        """Close the exhausted window. When keep, its plus stream keeps its
+        index, and with B it is returned as anchor m + 1's s side, (plus
+        stream, B); else (None, None)."""
+        plus = self.streams[0] if self.keep else None
+        self.close(plus)
+        return (plus, self.base) if plus else (None, None)
+
+
+class _ScanWindow(_Window):
+    """vvt's window: one vvt_scan of the whole box, a stage whose only pair
+    is its hit, if any. The scan counts its trials in closed form, the
+    hit's among them, which is charged instead when the hit is tried. It
+    holds no index and hands nothing on."""
+
+    def __init__(self, pub, cfg, stats, anchor, r_max, s_max, keep, side, base):
+        if r_max * s_max > VVT_MAX_PAIRS:
+            raise ValueError(f"vvt bounds ({r_max}, {s_max}) exceed the cap of"
+                             f" {VVT_MAX_PAIRS} pairs")
+        self.scan = (pub.n, pub.e, *anchor, r_max, s_max, cfg.probe_minus_form)
+        self.stats = stats
+
+    def stages(self):
+        hit, trials = vvt_scan(*self.scan)
+        self.stats.method1_trials += trials - (hit is not None)
+        yield [] if hit is None else [(hit[1], hit[0])]
+
+
+class _StageWindow(_Window):
+    """Meet-in-the-middle window of anchor m, searched in stages.
 
     With B = 2^e mod n (base) and A_j = B^(q_{j+1}), anchor m solves
     A_m^r * A_{m-1}^s == 2 (the plus form, d = r*q1 + s*q0) or
-    A_m^r * A_{m-1}^-s == 2 (the minus form, d = r*q1 - s*q0). Its s side is
+    A_m^r * A_{m-1}^-s == 2 (the minus form, d = r*q1 - s*q0), with
+    anchor = (p0, q0, p1, q1) its convergents m and m + 1. Its s side is
     the chain 2*A_{m-1}^-s or A_{m-1}^s; against it the plus form puts the
     r stream a^r or 2*a^-r, with a = A_m, and the minus form 4*a^-r or
     a^r/2. The plus stream a^r (2*a^-r) of anchor m is the s side A_m^s
-    (2*A_m^-s) of anchor m + 1. So when keep, the s_max of anchor m + 1, is
-    not 0, an exhausted window returns (None, (plus stream, B)), with at
-    least the stream's first min(r_max, keep) fingerprints stored. A first
-    window pays the power B and two powers of about q bits, B^(q0) and
-    B^(q1), the two as one job list (_powers); given shared, a window pays
-    one, a = B^(q1), and one chain per stream. A first window may be given
-    (None, B), with B made beside the key's set-up (run_attack).
+    (2*A_m^-s) of anchor m + 1: when keep is not 0, hand_off returns it,
+    with at least its first keep fingerprints stored, and B. A window
+    opened without such a side pays the power B and two powers of about q
+    bits, B^(q0) and B^(q1), the two as one job list (_powers); given one,
+    it pays one, a = B^(q1), and one chain per stream. A window given B
+    alone, made beside the key's set-up (run_attack), charges it all the
+    same.
 
     A stage with bound T covers r <= min(T, r_max) and s <= min(T, s_max);
     T starts at MITM_FIRST_STAGE and doubles until both bounds are reached.
     A stage looks the r streams' new segments up in the s side's index,
     which holds every s it has, then the s side's new segment, if it still
     grows, up in each stream's index, which holds every r up to the stage's
-    bound, so each (r, s, sign) of the window is matched exactly once; a
-    shared s side stored past s_max yields no hit beyond it. A segment is
+    bound, so each (r, s, sign) of the window is matched exactly once; an
+    s side given stored past s_max yields no hit beyond it. A segment is
     stored while a later lookup will use it, and the plus stream's up to
     keep also, in a plain array once no lookup of this anchor uses it.
-    Hits are tried in (stage, s, sign, r) order, and the window stops at the
+    stages() gives each stage's hits as (k, d) pairs in (s, sign, r) order,
+    so a search tries them in (stage, s, sign, r) order and stops at the
     first recovery: a key costs about max(r, s) modular multiplications at
-    its anchor, or about r given shared, and an exhausted window r_max per
-    stream plus s_max, or plus what s_max asks past the shared side.
-
-    At anchor -1, q0 = 0: A_{-2} = 1, the s side is the constant 2 and the
-    congruence is a^r == 2 whatever s is. That window builds and indexes
-    only a^r, looks 2 up in it once per stage, and tries each match with
-    every s of the stage in the same order.
+    its anchor, or about r given a side, and an exhausted window r_max per
+    stream plus s_max, or plus what s_max asks past the side given.
     """
-    _check_mitm_bounds(r_max, s_max)
-    n = pub.n
-    s_side, base = shared or (None, None)
-    if s_side is None:
-        # The first window. n is odd, so the powers of 2 are units and
-        # invertible. B is charged here, also when run_attack made it
-        # beside the key's set-up.
-        _charge(pub.e, stats)
-        if base is None:
-            base = mod_pow(2, pub.e, n)
-        if q0:
-            b, a = _powers(base, (q0, q1), n, stats)
-            s_side = _Side(2, _inv(b, n, stats))
-        else:
+
+    def __init__(self, pub, cfg, stats, anchor, r_max, s_max, keep, side, base):
+        _check_mitm_bounds(r_max, s_max)
+        n, (_, q0, _, q1) = pub.n, anchor
+        if side is not None:
+            side.index.extend(side.pending)
+            side.pending = array("Q")
+            side.index.row_bound = 0  # r is looked up in it now
             a = _pow(base, q1, n, stats)
-    else:
-        s_side.index.extend(s_side.pending)
-        s_side.pending = array("Q")
-        s_side.index.row_bound = 0  # r is looked up in it now
-        a = _pow(base, q1, n, stats)
-    halved = s_side is not None and s_side.const == 1  # the s side is A_{m-1}^s
-    minus_stream = cfg.probe_minus_form and q0 != 0
-    a_inv = _inv(a, n, stats) if halved or minus_stream else None
-    forms = [(2, a_inv) if halved else (1, a)]
-    if minus_stream:
-        forms.append(((n + 1) // 2, a) if halved else (4, a_inv))
-    streams = [_Side(const, mult, r_max) for const, mult in forms]
-    plus = streams[0]
-    signs = (0, 1) if cfg.probe_minus_form else (0,)
-    rs = []  # at anchor -1, the r whose a^r matches 2
-    handed = None
-    bound, r_top, s_top = MITM_FIRST_STAGE, 0, 0  # bounds of the stages done
-    try:
-        while r_top < r_max or s_top < s_max:
+        else:
+            # n is odd, so the powers of 2 are units and invertible. B is
+            # charged here, also when run_attack made it.
+            _charge(pub.e, stats)
+            base = mod_pow(2, pub.e, n) if base is None else base
+            if q0:
+                b, a = _powers(base, (q0, q1), n, stats)
+                side = _Side(2, _inv(b, n, stats))
+            else:
+                a = _pow(base, q1, n, stats)
+        halved = side is not None and side.const == 1  # the s side is A_{m-1}^s
+        minus_stream = cfg.probe_minus_form and q0 != 0
+        a_inv = _inv(a, n, stats) if halved or minus_stream else None
+        forms = [(2, a_inv) if halved else (1, a), ((n + 1) // 2, a) if halved else (4, a_inv)]
+        self.pub, self.cfg, self.stats, self.anchor = pub, cfg, stats, anchor
+        self.r_max, self.s_max, self.keep, self.base = r_max, s_max, keep, base
+        self.s_side = side  # None at anchor -1
+        self.streams = [_Side(const, mult, r_max) for const, mult in forms[:1 + minus_stream]]
+
+    def stages(self):
+        n, stats, gcd_rows, keep = self.pub.n, self.stats, self.cfg.gcd_rows, self.keep
+        r_max, s_max, s_side, streams = self.r_max, self.s_max, self.s_side, self.streams
+        bound, r_top = MITM_FIRST_STAGE, 0  # bounds of the stages done
+        while r_top < r_max or s_side.top < s_max:
             r_end, s_end = min(bound, r_max), min(bound, s_max)
             hits = []
-            if s_side is None:
-                if r_top < r_end:
-                    plus.index.extend(plus.grow(r_end, n, stats))
-                    rs = plus.index.probe(2)
-                hits = [(s, sign, r) for r in rs
-                        for s in range(1 if r > r_top else s_top + 1, s_end + 1)
-                        if not (cfg.gcd_rows and gcd(r, s, ROW_MODULUS) > 1)
-                        for sign in signs]
-            else:
-                # A segment is freed once matched, before the next is made.
-                if r_top < r_end:
-                    segments = [stream.grow(r_end, n, stats) for stream in streams]
-                    if s_side.top:
-                        for sign, fps in enumerate(segments):
-                            hits += [(s, sign, r) for r, s in s_side.index.probe_fp(
-                                fps, cfg.gcd_rows, r_top + 1) if s <= s_max]
-                    if r_end == r_max:
-                        # No later r is looked up in the s side: let its
-                        # index go before the streams grow for the last time.
-                        _note(stats, [s_side, *streams])
-                        _drop_index(stats, s_side)
-                    for stream, fps in zip(streams, segments):
-                        if s_side.top < s_max:
-                            stream.index.extend(fps)
-                        elif stream is plus and r_top < keep:
-                            stream.pending.extend(islice(fps, keep - r_top))
-                    del segments, fps
-                if s_side.top < s_end:
-                    first = s_side.top + 1
-                    fps = s_side.grow(s_end, n, stats)
-                    for sign, stream in enumerate(streams):
-                        hits += [(s, sign, r) for s, r
-                                 in stream.index.probe_fp(fps, cfg.gcd_rows, first)]
-                    if r_end < r_max:
-                        s_side.index.extend(fps)
-                    del fps
-                s_end = s_side.top  # past s_max when a shared side holds more
+            # A segment is freed once matched, before the next is made.
+            if r_top < r_end:
+                segments = [stream.grow(r_end, n, stats) for stream in streams]
+                if s_side.top:
+                    for sign, fps in enumerate(segments):
+                        hits += [(s, sign, r) for r, s in s_side.index.probe_fp(
+                            fps, gcd_rows, r_top + 1) if s <= s_max]
+                if r_end == r_max:
+                    # No later r is looked up in the s side: let its
+                    # index go before the streams grow for the last time.
+                    _note(stats, [s_side, *streams])
+                    _drop_index(stats, s_side)
+                for stream, fps in zip(streams, segments):
+                    if s_side.top < s_max:
+                        stream.index.extend(fps)
+                    elif stream is streams[0] and r_top < keep:
+                        stream.pending.extend(islice(fps, keep - r_top))
+                del segments, fps
+            if s_side.top < s_end:
+                first = s_side.top + 1
+                fps = s_side.grow(s_end, n, stats)
+                for sign, stream in enumerate(streams):
+                    hits += [(s, sign, r) for s, r
+                             in stream.index.probe_fp(fps, gcd_rows, first)]
+                if r_end < r_max:
+                    s_side.index.extend(fps)
+                del fps
+            r_top, bound = r_end, 2 * bound
+            yield self._pairs(hits)
+
+    def _pairs(self, hits):
+        """The (k, d) of each hit (s, sign, r), in order: sign 0
+        (d = r*q1 + s*q0) before sign 1 (d = r*q1 - s*q0)."""
+        p0, q0, p1, q1 = self.anchor
+        return [(r * p1 + t * p0, r * q1 + t * q0)
+                for t, r in ((-s if sign else s, r) for s, sign, r in sorted(hits))]
+
+
+class _RootWindow(_StageWindow):
+    """Anchor -1's window. There q0 = 0: A_{-2} = 1, the s side is the
+    constant 2 and the congruence is a^r == 2 whatever s is. The window
+    makes and indexes only a^r, its plus stream, looks 2 up in it once per
+    stage, and tries each match with every s of the stage in the same
+    order."""
+
+    def stages(self):
+        n, stats, cfg, plus = self.pub.n, self.stats, self.cfg, self.streams[0]
+        bound, r_top, s_top = MITM_FIRST_STAGE, 0, 0  # bounds of the stages done
+        while r_top < self.r_max or s_top < self.s_max:
+            r_end, s_end = min(bound, self.r_max), min(bound, self.s_max)
+            if r_top < r_end:
+                plus.index.extend(plus.grow(r_end, n, stats))
+                rs = plus.index.probe(2)  # the r whose a^r matches 2
+            yield self._pairs([(s, sign, r) for r in rs
+                               for s in range(1 if r > r_top else s_top + 1, s_end + 1)
+                               if not (cfg.gcd_rows and gcd(r, s, ROW_MODULUS) > 1)
+                               for sign in range(1 + cfg.probe_minus_form)])
             r_top, s_top, bound = r_end, s_end, 2 * bound
-            # Sign 0 (d = r*q1 + s*q0) before sign 1 (d = r*q1 - s*q0);
-            # every hit that does not recover collides.
-            pairs = []
-            for s, sign, r in sorted(hits):
-                t = -s if sign else s
-                pairs.append((r * p1 + t * p0, r * q1 + t * q0))
-            result = _first_recovered(pub, pairs, stats)
-            if result is not None:
-                stats.collisions += pairs.index((result.k, result.d))
-                return result, None
-            stats.collisions += len(pairs)
-        if keep:
-            handed = plus, base
-        return None, handed
-    finally:
-        sides = [side for side in (s_side, *streams)
-                 if side is not None and side.index is not None]
-        _note(stats, sides)
-        for side in sides:
-            if handed is None or side is not plus:
-                _drop_index(stats, side)
-
-
-_WINDOWS = {"vvt": _scan_window, "mitm": _mitm_window}
 
 
 def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = None
@@ -804,16 +841,15 @@ def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = N
             return AttackResult("gcd-break", p=2, q=pub.n // 2, stats=stats)
         if cfg.variant == "mitm" and cfg.bound_mode != "quotient":
             _check_mitm_bounds(*_fixed_bounds(cfg))
-        shared = None
+        base = None
         if context is None:
             if cfg.variant == "mitm" and workers.ways(_muls(pub.e), pub.n.bit_length()) > 1:
                 context, base = workers.run(_call, [
                     (key_context, pub, cfg.approx), (_power, 2, pub.e, pub.n)])
-                shared = None, base
             else:
                 context = key_context(pub, cfg.approx)
         elif (context.pub, context.approx) != (pub, cfg.approx):
             raise ValueError("the key context is of another key or approximation target")
-        return _anchor_windows(context, cfg, _WINDOWS.get(cfg.variant), stats, shared)
+        return _anchor_windows(context, cfg, stats, base)
     finally:
         stats.wall_time = time.perf_counter() - t0

@@ -61,19 +61,14 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
     lies in the row's box.
 
     Each key, made and searched, is a job of workers.run; the keys go in
-    interleaved shares and their per-row counts are summed.
+    interleaved shares and their per-row counts are summed. A share replays
+    the seeded draws itself (_draws), so that nothing held here grows with
+    trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (isfinite(d_ratio) and d_ratio > 0):
         raise ValueError(f"d_ratio must be finite and positive, got {d_ratio!r}")
-    rng = random.Random(seed)
-    # d_ratio is the cap of the operating range d < d_ratio * n^0.25; each
-    # trial key gets a secret exponent drawn uniformly below that cap.
-    draws = []
-    for i in range(trials):
-        ratio = max(d_ratio * rng.random(), MIN_D_RATIO)
-        draws.append((i, ratio, rng.randrange(1 << 63)))
     bounds = [(max(1, ceil(r_mult * d_ratio)), max(1, ceil(s_mult * d_ratio)))
               for r_mult, s_mult in SUCCESS_BOUND_ROWS]
     cfg = AttackConfig(
@@ -87,7 +82,7 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
     cfg.validate()
     _check_mitm_bounds(cfg.r_max, cfg.s_max)
     ways = workers.ways(trials, KEY_OPS * bits)
-    parts = workers.run(_count_rows, [(bits, draws[i::ways], cfg, bounds)
+    parts = workers.run(_count_rows, [(bits, (d_ratio, trials, seed, i, ways), cfg, bounds)
                                       for i in range(ways)])
     errors = [error for _, error in parts if error is not None]
     if errors:
@@ -97,12 +92,25 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
             for (r_mult, s_mult), count in zip(SUCCESS_BOUND_ROWS, successes)]
 
 
+def _draws(d_ratio, trials, seed, share, ways):
+    """(i, d ratio, key seed) of the trials i = share, share + ways, ...
+    of success_table, in order, from the one stream seeded with seed that
+    every share replays. d_ratio is the cap of the operating range
+    d < d_ratio * n^0.25; each trial key gets a secret exponent drawn
+    uniformly below that cap."""
+    rng = random.Random(seed)
+    for i in range(trials):
+        draw = i, max(d_ratio * rng.random(), MIN_D_RATIO), rng.randrange(1 << 63)
+        if i % ways == share:
+            yield draw
+
+
 def _count_rows(bits, draws, cfg, bounds):
-    """The successes per row of bounds over the keys of draws, (i, d ratio,
-    key seed) triples in order, and None, or (i, the error) of the first
-    draw i whose key could not be made, which ends the job."""
+    """The successes per row of bounds over the keys of _draws(*draws), and
+    None, or (i, the error) of the first draw i whose key could not be
+    made, which ends the job."""
     counts = [0] * len(bounds)
-    for i, ratio, key_seed in draws:
+    for i, ratio, key_seed in _draws(*draws):
         try:
             pub, _ = keygen_weak(bits, ratio, key_seed)
         except (GenerationError, ValueError) as exc:

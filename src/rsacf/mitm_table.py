@@ -4,7 +4,7 @@ An index stores only a truncated fingerprint (the low w bits of x^j mod n)
 plus the exponent j, and grows by segments of consecutive exponents. One
 hash maps each fingerprint to its first exponent; a side hash maps a
 repeated fingerprint to a list of its later exponents, appended in place,
-so each repeat costs O(1). The mitm window (attack._mitm_window) keeps
+so each repeat costs O(1). The mitm window (attack._StageWindow) keeps
 one index over its s side and one per r stream, all at the width that its
 largest admitted window asks for (attack.MITM_WIDTH), so that an index can
 serve the next anchor whatever its bounds, grows both sides stage by

@@ -330,19 +330,11 @@ def method1_remainder(n: int, k: int, rem: int) -> Method1Result:
     return Method1Result(p, q, None)
 
 
-def method1_try(n: int, e: int, d: int, k: int) -> Method1Result:
-    """Factor n assuming (d, k) is the true exponent pair, k >= 1.
-
-    Returns (p, q, None) with p * q == n, or (None, None, reject stage).
-    """
-    return method1_remainder(n, k, d * e - k * n)
-
-
 def method1_factor(pub: PublicKey, d_cand: int, k_cand: int) -> Method1Result:
     """Try to factor n assuming (d_cand, k_cand) are the true exponent pair."""
     if k_cand < 1:
         raise ValueError("k_cand must be >= 1")
-    return method1_try(pub.n, pub.e, d_cand, k_cand)
+    return method1_remainder(pub.n, k_cand, d_cand * pub.e - k_cand * pub.n)
 
 
 def write_key(path, pub: PublicKey, priv: PrivateKey | None = None) -> None:

@@ -21,8 +21,9 @@ from rsacf import (
 )
 from rsacf import attack, contfrac, workers
 from rsacf.attack import APPROX_MODES, BOUND_MODES, VARIANTS, anchor_index
+from rsacf.cli import main
 from rsacf.numeric import isqrt
-from rsacf.rsa import is_probable_prime, method1_remainder, method1_try
+from rsacf.rsa import is_probable_prime, method1_remainder, write_key
 
 TOY = PublicKey(90581, 17993)  # p = 239, q = 379, d = 5, k = 1
 
@@ -41,21 +42,22 @@ def _key(primes, d):
 
 
 def _record_windows(monkeypatch):
-    """Record (p0, q0, p1, q1, r_max, s_max) of every mitm window run, and
-    check that a window is handed the previous one's side exactly when
-    its anchor follows that one's, and B alone, (None, B), only if first."""
+    """Record (p0, q0, p1, q1, r_max, s_max) of every mitm window opened,
+    and check that a window is given the previous one's side exactly when
+    its anchor follows that one's, and B alone only if first."""
     windows = []
-    window = attack._WINDOWS["mitm"]
 
-    def record(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep):
-        follows = bool(windows) and windows[-1][2:4] == (p0, q0)
-        side = shared[0] if shared else None
-        assert (side is not None) == follows
-        assert shared is None or side is not None or not windows
-        windows.append((p0, q0, p1, q1, r_max, s_max))
-        return window(pub, cfg, p0, q0, p1, q1, r_max, s_max, stats, shared, keep)
+    def recorder(kind):
+        def record(pub, cfg, stats, anchor, r_max, s_max, keep, side, base):
+            follows = bool(windows) and windows[-1][2:4] == anchor[:2]
+            assert (side is not None) == follows
+            assert base is None or side is not None or not windows
+            windows.append((*anchor, r_max, s_max))
+            return kind(pub, cfg, stats, anchor, r_max, s_max, keep, side, base)
+        return record
 
-    monkeypatch.setitem(attack._WINDOWS, "mitm", record)
+    for name in ("_StageWindow", "_RootWindow"):
+        monkeypatch.setattr(attack, name, recorder(getattr(attack, name)))
     return windows
 
 
@@ -80,7 +82,8 @@ def _pow_cost(exp):
 
 def _reference_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
     """attack.vvt_scan pair by pair: every coprime (r, s), in (s, r, sign)
-    order, goes through method1_try, the minus form when d > 0 and k >= 1."""
+    order, goes through the factor check of d*e - k*n, the minus form when
+    d > 0 and k >= 1."""
     trials = 0
     for s in range(1, s_max + 1):
         for r in range(1, r_max + 1):
@@ -91,7 +94,7 @@ def _reference_scan(n, e, p0, q0, p1, q1, r_max, s_max, minus_form):
                 if d < 1 or k < 1:
                     continue
                 trials += 1
-                got = method1_try(n, e, d, k)
+                got = method1_remainder(n, k, d * e - k * n)
                 if got[2] is None:
                     return (d, k, got[0], got[1]), trials
     return None, trials
@@ -111,7 +114,7 @@ def _convergents(target):
 
 def _method1_reference(n, e, d, k):
     """The factor check of (d, k), k >= 1, from d*e - 1 itself: (p, q), or
-    the reject tag method1_try gives."""
+    the reject tag method1_remainder gives."""
     t = d * e - 1
     if t % k:
         return "inexact-phi"
@@ -144,7 +147,6 @@ def _check_wiener_pass(pub):
             got = method1_remainder(n, k, rem)
             want = _method1_reference(n, e, d, k)
             assert (got.reject or (got.p, got.q)) == want
-            assert method1_try(n, e, d, k) == got
             cases.add(want if isinstance(want, str) else "factored")
             if k > abs(rem - 1):
                 cases.add("k > |D - 1|")
@@ -513,6 +515,23 @@ class TestQuotientBounds:
                     checked += 1
         assert checked >= 60
         assert max(used.values()) <= 1, used
+
+    @pytest.mark.parametrize("approx", APPROX_MODES)
+    def test_next_s_bound_covers_this_r_bound(self, approx):
+        # Anchor m hands its plus stream, r up to r_max(m), to anchor m + 1
+        # as its s side, and keeps all of it without reading anchor m + 1's
+        # bounds: under quotient bounds s_max(m + 1) >= r_max(m) at every
+        # anchor, since both hold t3 * (a_{m+2} + 1) * D. The expansions'
+        # last anchors read quotients past their end as 0.
+        rng = random.Random(27)
+        for _ in range(200):
+            x = Fraction(rng.randrange(1, 1 << rng.choice((16, 64, 256))),
+                         rng.randrange(1, 1 << 64))
+            cf = contfrac.expand(x)
+            cfg = AttackConfig(bound_mode="quotient", approx=approx,
+                               d_ratio=rng.choice((2**-8, 0.5, 1, 3.7, 2**16)))
+            for m in range(-1, len(cf) - 2):
+                assert attack._bounds_for(cfg, cf, m + 1)[1] >= attack._bounds_for(cfg, cf, m)[0]
 
 
 class TestMitmAttack:
@@ -899,3 +918,58 @@ class TestRunAttack:
                          AttackConfig(variant=variant, r_max=4, s_max=4))
         assert res.outcome == "gcd-break"
         assert (res.p, res.q) == (2, n // 2)
+
+    @pytest.mark.parametrize("failure", ["not-finite", "over-cap"])
+    @pytest.mark.parametrize("bounds, argv", [
+        ({"r_max": 16, "s_max": 16}, ["--rmax", "16", "--smax", "16"]),
+        ({"bound_mode": "quotient", "d_ratio": 4}, ["--bound-mode", "quotient",
+                                                    "--d-ratio", "4"]),
+    ], ids=["explicit", "quotient"])
+    @pytest.mark.parametrize("variant", ["vvt", "mitm"])
+    def test_later_anchor_bounds_checked_when_it_opens(
+            self, monkeypatch, tmp_path, capsys, variant, bounds, argv, failure):
+        # Anchor m'+1's bounds are not finite, or over the mitm cap (and so
+        # the vvt one). A key found at m' never opens m'+1 and is recovered
+        # as with sound bounds there, at the same cost. A key that m' misses
+        # meets the error when m'+1 opens: refused (exit 2), never
+        # reported exhausted.
+        cfg = AttackConfig(variant=variant, **bounds)
+        found, priv = keygen_weak(96, 4, 0)
+        missed, _ = keygen_weak(96, 2**20, 123)
+        want = {pub: run_attack(pub, cfg) for pub in (found, missed)}
+        assert want[found].recovered and want[found].d == priv.d
+        assert want[found].stats.m_tried == 1
+        assert want[missed].outcome == "exhausted" and want[missed].stats.m_tried == 3
+        bounds_for = attack._bounds_for
+        m_prime = {attack.key_context(pub).cf: anchor_index(pub) for pub in want}
+
+        def failing(cfg, cf, m):
+            if m == m_prime[cf] + 1:
+                if failure == "not-finite":
+                    raise ValueError(f"quotient bounds at anchor index {m} are not finite")
+                return attack.MITM_MAX_BOUND + 1, attack.MITM_MAX_BOUND + 1
+            return bounds_for(cfg, cf, m)
+
+        monkeypatch.setattr(attack, "_bounds_for", failing)
+        message = "not finite" if failure == "not-finite" else "exceed the cap"
+        for pub in (found, missed):
+            got = None
+            try:
+                got = run_attack(pub, cfg)
+            except ValueError as exc:
+                assert pub is missed and message in str(exc)
+            if pub is found:
+                assert (got.outcome, got.d, got.k) == (
+                    want[pub].outcome, want[pub].d, want[pub].k)
+                assert replace(got.stats, wall_time=0) == replace(
+                    want[pub].stats, wall_time=0)
+            else:
+                assert got is None
+            key = tmp_path / "key.txt"
+            write_key(key, pub)
+            code = main(["attack", "--key", str(key), "--variant", variant, *argv])
+            out, err = capsys.readouterr()
+            if pub is found:
+                assert code == 0 and f"d = {priv.d:x}" in out
+            else:
+                assert (code, out) == (2, "") and message in err

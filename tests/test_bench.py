@@ -1,5 +1,7 @@
 """Unit tests for the table-reproduction harness."""
 
+import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -179,6 +181,31 @@ class TestSuccessTable:
         # 8 searches with workers off, then this process's share of 4.
         assert searches == [80] * 12
         assert rows[0] == rows[float("inf")]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_memory_here_does_not_grow_with_trials(self, monkeypatch, cpus):
+        # Each share replays the seeded draws itself, so this process holds
+        # no list of them: 40,000 trials of stubbed keys, whose draws held
+        # about 6.5 MiB as a list, peak under 1 MiB here, traced, whether
+        # this process makes every key or shares them with a worker.
+        workers.shutdown()  # a worker forked from here sees the stubs
+        monkeypatch.setattr(workers, "_cpus", lambda: cpus)
+        monkeypatch.setattr(bench, "keygen_weak", lambda bits, ratio, seed: (seed, None))
+        monkeypatch.setattr(bench, "_rows_recovered",
+                            lambda pub, cfg, bounds: [pub % 2] * len(bounds))
+        trials = 40_000
+        tracemalloc.start()
+        try:
+            rows = success_table(64, 4, trials, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            workers.shutdown()  # no later test meets a stubbed worker
+        assert workers.ways(trials, bench.KEY_OPS * 64) == cpus
+        rng = random.Random(0)  # each trial draws its d ratio, then its key seed
+        odd = sum((rng.random(), rng.randrange(1 << 63))[1] % 2 for _ in range(trials))
+        assert [row.successes for row in rows] == [odd] * len(SUCCESS_BOUND_ROWS)
+        assert peak < 1 << 20
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

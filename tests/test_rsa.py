@@ -22,7 +22,7 @@ from rsacf import (
     workers,
     write_key,
 )
-from rsacf.rsa import is_probable_prime, method1_try
+from rsacf.rsa import is_probable_prime, method1_remainder
 
 TOY = PublicKey(90581, 17993)  # p = 239, q = 379, d = 5, k = 1
 M61, M127, M521, M607 = (2**61 - 1, 2**127 - 1, 2**521 - 1, 2**607 - 1)  # Mersenne primes
@@ -300,7 +300,7 @@ class TestMethod1:
 
     @pytest.mark.parametrize("d, k", [(5, 1), (3, 7), (7, 1), (2, 1)])
     def test_try_returns_the_factor_result(self, d, k):
-        got = method1_try(TOY.n, TOY.e, d, k)
+        got = method1_remainder(TOY.n, k, d * TOY.e - k * TOY.n)
         assert isinstance(got, Method1Result)
         assert got == method1_factor(TOY, d, k)
 
