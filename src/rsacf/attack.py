@@ -259,6 +259,17 @@ def _bounds_for(cfg, cf, m):
                          f" (d_ratio {cfg.d_ratio!r})") from None
 
 
+def _check_bounds(cfg, r_max, s_max):
+    """Refuse bounds over cfg.variant's cap: a mitm side over MITM_MAX_BOUND,
+    a vvt box over VVT_MAX_PAIRS."""
+    if cfg.variant == "mitm" and max(r_max, s_max) > MITM_MAX_BOUND:
+        raise ValueError(f"mitm bounds ({r_max}, {s_max}) exceed the cap of"
+                         f" {MITM_MAX_BOUND} per side")
+    if cfg.variant == "vvt" and r_max * s_max > VVT_MAX_PAIRS:
+        raise ValueError(f"vvt bounds ({r_max}, {s_max}) exceed the cap of"
+                         f" {VVT_MAX_PAIRS} pairs")
+
+
 def _anchor_windows(context, cfg, stats, base=None):
     """The loop every engine shares, over the key's context: the context's
     Wiener pass, charged to stats, then per anchor index m a window
@@ -269,15 +280,17 @@ def _anchor_windows(context, cfg, stats, base=None):
     (_first_recovered); the first recovery ends the search, and every pair
     tried before it collides.
 
-    An anchor's bounds are made, and checked by its window, when it opens,
+    An anchor's bounds are made and checked (_check_bounds) when it opens,
     so bounds that are not finite or over a cap at a later anchor refuse
-    the search only once it gets there. When anchor m + 1 is searched next,
-    window m keeps the first keep fingerprints of its plus stream, as many
-    as anchor m + 1 reads of it as its s side, and hands them on with B
-    (hand_off). That anchor's s_max is s_max at every anchor under explicit
-    and fixed4d bounds, and at least r_max(m) under quotient bounds, where
-    both hold t3 * (a_{m+2} + 1) * D (contfrac.rs_bounds), so keep needs no
-    bounds of m + 1. The first window gets the B given here, if any.
+    the search only once it gets there. Once the first anchor's bounds
+    pass, a mitm search makes B = 2^e mod n, or takes the B given here,
+    charges it once and gives it to every window. When anchor m + 1 is
+    searched next, window m keeps the first keep fingerprints of its plus
+    stream, as many as anchor m + 1 reads of it as its s side, and hands
+    them on (hand_off). That anchor's s_max is s_max at every anchor under
+    explicit and fixed4d bounds, and at least r_max(m) under quotient
+    bounds, where both hold t3 * (a_{m+2} + 1) * D (contfrac.rs_bounds),
+    so keep needs no bounds of m + 1.
     """
     stats.method1_trials += context.wiener_trials
     if context.wiener is not None:
@@ -288,6 +301,11 @@ def _anchor_windows(context, cfg, stats, base=None):
     for i, m in enumerate(ms):
         stats.m_tried += 1
         r_max, s_max = _bounds_for(cfg, cf, m)
+        _check_bounds(cfg, r_max, s_max)
+        if cfg.variant == "mitm" and i == 0:
+            # n is odd, so the powers of 2 are units and invertible.
+            _charge(pub.e, stats)
+            base = mod_pow(2, pub.e, pub.n) if base is None else base
         follows = ms[i + 1:i + 2] == [m + 1]
         keep = follows * (r_max if cfg.bound_mode == "quotient" else min(r_max, s_max))
         kind = _ScanWindow if cfg.variant == "vvt" else _StageWindow if m >= 0 else _RootWindow
@@ -300,7 +318,7 @@ def _anchor_windows(context, cfg, stats, base=None):
                 window.close()
                 return result
             stats.collisions += len(pairs)
-        side, base = window.hand_off()
+        side = window.hand_off()
     return AttackResult("exhausted", stats=stats)
 
 
@@ -638,10 +656,16 @@ def _note(stats, sides):
         side.index.nominal_bytes + sys.getsizeof(side.pending) for side in sides))
 
 
-def _check_mitm_bounds(r_max, s_max):
-    if max(r_max, s_max) > MITM_MAX_BOUND:
-        raise ValueError(f"mitm bounds ({r_max}, {s_max}) exceed the cap of"
-                         f" {MITM_MAX_BOUND} per side")
+def _stage_bounds(r_max, s_max, s_top=0):
+    """(r_top, r_end, s_top, s_end) of each stage of a mitm window: the r
+    and s it holds before the stage, from 0 and s_top, and the bounds the
+    stage reaches, min(T, r_max) and min(T, s_max), with T from
+    MITM_FIRST_STAGE, doubled each stage until both bounds are reached."""
+    bound, r_top = MITM_FIRST_STAGE, 0
+    while r_top < r_max or s_top < s_max:
+        r_end, s_end = min(bound, r_max), min(bound, s_max)
+        yield r_top, r_end, s_top, s_end
+        r_top, s_top, bound = r_end, max(s_top, s_end), 2 * bound
 
 
 class _Window:
@@ -651,7 +675,7 @@ class _Window:
     indexes a window holds are those of its s side, if any, and of its r
     streams; the first stream is its plus stream."""
 
-    s_side, streams, keep, base = None, (), 0, None
+    s_side, streams, keep = None, (), 0
 
     def close(self, kept=None):
         """Note the bytes the indexes hold together in stats.table_bytes,
@@ -666,11 +690,10 @@ class _Window:
 
     def hand_off(self):
         """Close the exhausted window. When keep, its plus stream keeps its
-        index, and with B it is returned as anchor m + 1's s side, (plus
-        stream, B); else (None, None)."""
+        index and is returned as anchor m + 1's s side; else None."""
         plus = self.streams[0] if self.keep else None
         self.close(plus)
-        return (plus, self.base) if plus else (None, None)
+        return plus
 
 
 class _ScanWindow(_Window):
@@ -680,9 +703,6 @@ class _ScanWindow(_Window):
     holds no index and hands nothing on."""
 
     def __init__(self, pub, cfg, stats, anchor, r_max, s_max, keep, side, base):
-        if r_max * s_max > VVT_MAX_PAIRS:
-            raise ValueError(f"vvt bounds ({r_max}, {s_max}) exceed the cap of"
-                             f" {VVT_MAX_PAIRS} pairs")
         self.scan = (pub.n, pub.e, *anchor, r_max, s_max, cfg.probe_minus_form)
         self.stats = stats
 
@@ -703,67 +723,57 @@ class _StageWindow(_Window):
     r stream a^r or 2*a^-r, with a = A_m, and the minus form 4*a^-r or
     a^r/2. The plus stream a^r (2*a^-r) of anchor m is the s side A_m^s
     (2*A_m^-s) of anchor m + 1: when keep is not 0, hand_off returns it,
-    with at least its first keep fingerprints stored, and B. A window
-    opened without such a side pays the power B and two powers of about q
-    bits, B^(q0) and B^(q1), the two as one job list (_powers); given one,
-    it pays one, a = B^(q1), and one chain per stream. A window given B
-    alone, made beside the key's set-up (run_attack), charges it all the
-    same.
+    with at least its first keep fingerprints stored. Every window is given
+    B, made and charged by the anchor loop. One opened without such a side
+    pays two powers of about q bits, B^(q0) and B^(q1), as one job list
+    (_powers); given one, it pays one, a = B^(q1), and one chain per stream.
 
-    A stage with bound T covers r <= min(T, r_max) and s <= min(T, s_max);
-    T starts at MITM_FIRST_STAGE and doubles until both bounds are reached.
-    A stage looks the r streams' new segments up in the s side's index,
-    which holds every s it has, then the s side's new segment, if it still
-    grows, up in each stream's index, which holds every r up to the stage's
-    bound, so each (r, s, sign) of the window is matched exactly once; an
-    s side given stored past s_max yields no hit beyond it. A segment is
-    stored while a later lookup will use it, and the plus stream's up to
-    keep also, in a plain array once no lookup of this anchor uses it.
-    stages() gives each stage's hits as (k, d) pairs in (s, sign, r) order,
-    so a search tries them in (stage, s, sign, r) order and stops at the
-    first recovery: a key costs about max(r, s) modular multiplications at
-    its anchor, or about r given a side, and an exhausted window r_max per
-    stream plus s_max, or plus what s_max asks past the side given.
+    A stage with bound T covers r <= min(T, r_max) and s <= min(T, s_max)
+    (_stage_bounds). A stage looks the r streams' new segments up in the s
+    side's index, which holds every s it has, then the s side's new segment,
+    if it still grows, up in each stream's index, which holds every r up to
+    the stage's bound, so each (r, s, sign) of the window is matched exactly
+    once; an s side given stored past s_max yields no hit beyond it. A
+    segment is stored while a later lookup will use it, and the plus
+    stream's up to keep also, in a plain array once no lookup of this anchor
+    uses it. stages() gives each stage's hits as (k, d) pairs in (s, sign,
+    r) order, so a search tries them in (stage, s, sign, r) order and stops
+    at the first recovery: a key costs about max(r, s) modular
+    multiplications at its anchor, or about r given a side, and an exhausted
+    window r_max per stream plus s_max, or plus what s_max asks past the
+    side given.
     """
 
     def __init__(self, pub, cfg, stats, anchor, r_max, s_max, keep, side, base):
-        _check_mitm_bounds(r_max, s_max)
         n, (_, q0, _, q1) = pub.n, anchor
         if side is not None:
             side.index.extend(side.pending)
             side.pending = array("Q")
             side.index.row_bound = 0  # r is looked up in it now
             a = _pow(base, q1, n, stats)
+        elif q0:
+            b, a = _powers(base, (q0, q1), n, stats)
+            side = _Side(2, _inv(b, n, stats))
         else:
-            # n is odd, so the powers of 2 are units and invertible. B is
-            # charged here, also when run_attack made it.
-            _charge(pub.e, stats)
-            base = mod_pow(2, pub.e, n) if base is None else base
-            if q0:
-                b, a = _powers(base, (q0, q1), n, stats)
-                side = _Side(2, _inv(b, n, stats))
-            else:
-                a = _pow(base, q1, n, stats)
+            a = _pow(base, q1, n, stats)
         halved = side is not None and side.const == 1  # the s side is A_{m-1}^s
         minus_stream = cfg.probe_minus_form and q0 != 0
         a_inv = _inv(a, n, stats) if halved or minus_stream else None
         forms = [(2, a_inv) if halved else (1, a), ((n + 1) // 2, a) if halved else (4, a_inv)]
         self.pub, self.cfg, self.stats, self.anchor = pub, cfg, stats, anchor
-        self.r_max, self.s_max, self.keep, self.base = r_max, s_max, keep, base
+        self.r_max, self.s_max, self.keep = r_max, s_max, keep
         self.s_side = side  # None at anchor -1
         self.streams = [_Side(const, mult, r_max) for const, mult in forms[:1 + minus_stream]]
 
     def stages(self):
         n, stats, gcd_rows, keep = self.pub.n, self.stats, self.cfg.gcd_rows, self.keep
         r_max, s_max, s_side, streams = self.r_max, self.s_max, self.s_side, self.streams
-        bound, r_top = MITM_FIRST_STAGE, 0  # bounds of the stages done
-        while r_top < r_max or s_side.top < s_max:
-            r_end, s_end = min(bound, r_max), min(bound, s_max)
+        for r_top, r_end, s_top, s_end in _stage_bounds(r_max, s_max, s_side.top):
             hits = []
             # A segment is freed once matched, before the next is made.
             if r_top < r_end:
                 segments = [stream.grow(r_end, n, stats) for stream in streams]
-                if s_side.top:
+                if s_top:
                     for sign, fps in enumerate(segments):
                         hits += [(s, sign, r) for r, s in s_side.index.probe_fp(
                             fps, gcd_rows, r_top + 1) if s <= s_max]
@@ -773,21 +783,19 @@ class _StageWindow(_Window):
                     _note(stats, [s_side, *streams])
                     _drop_index(stats, s_side)
                 for stream, fps in zip(streams, segments):
-                    if s_side.top < s_max:
+                    if s_top < s_max:
                         stream.index.extend(fps)
                     elif stream is streams[0] and r_top < keep:
                         stream.pending.extend(islice(fps, keep - r_top))
                 del segments, fps
-            if s_side.top < s_end:
-                first = s_side.top + 1
+            if s_top < s_end:
                 fps = s_side.grow(s_end, n, stats)
                 for sign, stream in enumerate(streams):
                     hits += [(s, sign, r) for s, r
-                             in stream.index.probe_fp(fps, gcd_rows, first)]
+                             in stream.index.probe_fp(fps, gcd_rows, s_top + 1)]
                 if r_end < r_max:
                     s_side.index.extend(fps)
                 del fps
-            r_top, bound = r_end, 2 * bound
             yield self._pairs(hits)
 
     def _pairs(self, hits):
@@ -807,9 +815,7 @@ class _RootWindow(_StageWindow):
 
     def stages(self):
         n, stats, cfg, plus = self.pub.n, self.stats, self.cfg, self.streams[0]
-        bound, r_top, s_top = MITM_FIRST_STAGE, 0, 0  # bounds of the stages done
-        while r_top < self.r_max or s_top < self.s_max:
-            r_end, s_end = min(bound, self.r_max), min(bound, self.s_max)
+        for r_top, r_end, s_top, s_end in _stage_bounds(self.r_max, self.s_max):
             if r_top < r_end:
                 plus.index.extend(plus.grow(r_end, n, stats))
                 rs = plus.index.probe(2)  # the r whose a^r matches 2
@@ -817,7 +823,6 @@ class _RootWindow(_StageWindow):
                                for s in range(1 if r > r_top else s_top + 1, s_end + 1)
                                if not (cfg.gcd_rows and gcd(r, s, ROW_MODULUS) > 1)
                                for sign in range(1 + cfg.probe_minus_form)])
-            r_top, s_top, bound = r_end, s_end, 2 * bound
 
 
 def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = None
@@ -827,11 +832,12 @@ def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = N
     context is the key's set-up under cfg.approx (key_context), made here
     when None; a caller that searches one key more than once passes its
     own. An even n splits as 2 * (n // 2) before any set-up or search, and
-    mitm bounds the same at every anchor (explicit, fixed4d) are held to
-    MITM_MAX_BOUND next, before the set-up or any power is made.
-    When a mitm search makes the context and the power B = 2^e mod n is
-    worth splitting (workers.ways), B is made on a worker meanwhile and
-    handed to the first window, which charges it only if it opens.
+    vvt or mitm bounds the same at every anchor (explicit, fixed4d) are
+    held to the variant's cap next (_check_bounds), before the set-up or
+    any power is made. When a mitm search makes the context and the power
+    B = 2^e mod n is worth splitting (workers.ways), B is made on a worker
+    meanwhile and handed to the anchor loop, which charges it only if the
+    first window opens.
     """
     cfg.validate()
     stats = Stats()
@@ -839,8 +845,8 @@ def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = N
     try:
         if pub.n % 2 == 0:
             return AttackResult("gcd-break", p=2, q=pub.n // 2, stats=stats)
-        if cfg.variant == "mitm" and cfg.bound_mode != "quotient":
-            _check_mitm_bounds(*_fixed_bounds(cfg))
+        if cfg.variant != "wiener" and cfg.bound_mode != "quotient":
+            _check_bounds(cfg, *_fixed_bounds(cfg))
         base = None
         if context is None:
             if cfg.variant == "mitm" and workers.ways(_muls(pub.e), pub.n.bit_length()) > 1:

@@ -136,14 +136,13 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
 
     rng advances by 64 draws for every n without a factor among the first
     twelve primes, whatever the gcd finds (_bases), so keygen_weak's keys
-    do not depend on it. The first round runs here; it turns away almost
-    every composite. The other 63 are split over the workers (_prove), so
-    a prime of RSA size uses every CPU. n may be any number, chosen to
-    fool the test, so every one of the 64 rounds is made: only the
-    worst-case bound, 4^-64 for a composite, holds. keygen_weak does not
-    call this above 2^64: its search (_prime_pair) makes the same draws,
-    and as many rounds as the average-case bound on random candidates asks
-    (_proving_rounds), spread over the workers from the first round on.
+    do not depend on it. The rounds run in this process, in order, until
+    one fails. n may be any number, chosen to fool the test, so a prime
+    passes all 64: only the worst-case bound, 4^-64 for a composite,
+    holds. keygen_weak does not call this above 2^64: its search
+    (_prime_pair) makes the same draws, and as many rounds as the
+    average-case bound on random candidates asks (_proving_rounds), spread
+    over the workers.
     """
     if n < 2:
         return False
@@ -152,9 +151,7 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
             return n < 1000 and n in _SMALL_PRIMES
         return _mr_rounds(n, [a for a in _MR_BASES_64 if a % n])
     bases = _bases(n, rng or random.Random(n))
-    if bases is None or not _mr_rounds(n, bases[:1]):
-        return False
-    return _prove([(n, bases[1:])])[0]
+    return bases is not None and _mr_rounds(n, bases)
 
 
 _PROVING_ROUNDS = {}  # bits -> _proving_rounds(bits), filled as asked

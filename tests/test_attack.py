@@ -898,6 +898,36 @@ class TestMitmAttack:
         assert res.outcome == "exhausted"
         assert res.stats.m_tried == 1
 
+    def test_b_made_once_per_search(self, monkeypatch):
+        # Anchors m' and m'+2 share no side, yet the search makes and charges
+        # B = 2^e mod n once, at the first window, and gives it to both.
+        pub, _ = keygen_weak(96, 2**20, 123)
+        m = anchor_index(pub)
+        cfg = AttackConfig(variant="mitm", r_max=64, s_max=64, m_candidates=(m, m + 2))
+        bases, powers_of_2, mod_pow = [], [], attack.mod_pow
+
+        def counted(base, exp, n):
+            if base == 2:
+                powers_of_2.append(exp)
+            return mod_pow(base, exp, n)
+
+        def recorder(kind):
+            def record(pub, cfg, stats, anchor, r_max, s_max, keep, side, base):
+                bases.append(base)
+                return kind(pub, cfg, stats, anchor, r_max, s_max, keep, side, base)
+            return record
+
+        monkeypatch.setattr(attack, "mod_pow", counted)
+        for name in ("_StageWindow", "_RootWindow"):
+            monkeypatch.setattr(attack, name, recorder(getattr(attack, name)))
+        res = run_attack(pub, cfg)
+        assert (res.outcome, res.d, res.k) == ("exhausted", None, None)
+        assert vvt_exhaustive(pub, cfg).outcome == "exhausted"
+        assert res.stats.m_tried == 2
+        assert powers_of_2 == [pub.e]
+        assert bases == [pow(2, pub.e, pub.n)] * 2
+        assert res.stats.modmuls == 701 - attack._muls(pub.e)
+
 
 class TestRunAttack:
     def test_dispatch(self):

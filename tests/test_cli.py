@@ -352,6 +352,31 @@ def test_vvt_pair_cap_exit_2(tmp_path, capsys, monkeypatch, argv):
     _assert_capped(tmp_path, capsys, argv)
 
 
+@pytest.mark.parametrize("bounds, flags", [
+    ({"r_max": 10**7, "s_max": 10**7}, ("--rmax", "10000000", "--smax", "10000000")),
+    ({"bound_mode": "fixed4d", "d_ratio": 1e7}, ("--bound-mode", "fixed4d", "--d-ratio", "1e7")),
+], ids=["rmax-smax-10^7", "fixed4d-1e7"])
+@pytest.mark.parametrize("variant", ["vvt", "mitm"])
+def test_cap_refused_before_the_set_up(tmp_path, capsys, monkeypatch, variant, bounds, flags):
+    # A key that the Wiener pass recovers: bounds the same at every anchor
+    # over either engine's cap are refused before the key's set-up, so
+    # before that pass could recover it.
+    pub, _ = keygen_weak(256, 0.1, 1)
+    assert attack.run_attack(pub, attack.AttackConfig(variant="wiener")).recovered
+    key = tmp_path / "k.txt"
+    write_key(key, pub)
+
+    def no_set_up(*args):
+        raise AssertionError("the key's set-up was made")
+
+    monkeypatch.setattr(attack, "key_context", no_set_up)
+    with pytest.raises(ValueError, match="exceed the cap"):
+        attack.run_attack(pub, attack.AttackConfig(variant=variant, **bounds))
+    code, out, err = run(capsys, "attack", "--key", str(key), "--variant", variant, *flags)
+    _assert_input_error(code, out, err)
+    assert "exceed the cap" in err
+
+
 def _run_quiet(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -125,25 +125,16 @@ SPLIT_CASES = [(M127, True), (M521, True), (M607, True), (M127 * M521, False),
 @pytest.mark.parametrize("n, prime", SPLIT_CASES,
                          ids=["M127", "M521", "M607", "M127*M521", "M521*M607", "1009..1097"])
 def test_split_rounds_match_serial(monkeypatch, n, prime):
-    # Split over two CPUs in a plain call, at any size; serial inside a job
-    # list, in this process and in the worker, where workers.ways is 1.
-    lists, run = [], workers.run
-
-    def recorded(fn, jobs):
-        lists.append(len(jobs))
-        return run(fn, jobs)
-
-    workers.shutdown()
-    monkeypatch.setattr(workers, "_cpus", lambda: 2)
-    monkeypatch.setattr(workers, "MIN_WORK", 0)
-    monkeypatch.setattr(workers, "run", recorded)
+    # With two CPUs and any work worth splitting, is_probable_prime still
+    # runs no job list at any size: its rounds run in the calling process,
+    # here and in a worker, with the same verdict.
+    lists = _split(monkeypatch, 2)
     try:
         assert is_probable_prime(n, random.Random(1)) == prime
-        assert lists == ([2] if prime else [])
-        del lists[:]
+        assert lists == []
         serial = workers.run(is_probable_prime, [(n, random.Random(1)) for _ in range(2)])
         assert serial == [prime, prime]
-        assert lists == ([2, 1] if prime else [2])
+        assert lists == [2]
     finally:
         workers.shutdown()
 
@@ -234,7 +225,7 @@ class TestSplitSearch:
     def test_rounds_sent_to_prove(self, monkeypatch):
         # A 512-bit prime of keygen_weak's search makes 12 rounds: the
         # screen's first, then 11 in the proving list. is_probable_prime,
-        # which serves any n, still makes all 64.
+        # which serves any n, still makes all 64, in this process.
         sent, prove = [], rsa._prove
 
         def spy(tests):
@@ -246,7 +237,7 @@ class TestSplitSearch:
         assert sent and set(sent) == {11}
         del sent[:]
         assert priv.p.bit_length() == 512 and is_probable_prime(priv.p)
-        assert sent == [63]
+        assert sent == []
 
 
 def _dlp_bound(k, t):
