@@ -87,6 +87,9 @@ class AttackConfig:
             elif self.d_ratio is None or not (isfinite(self.d_ratio) and self.d_ratio > 0):
                 raise ValueError(
                     f"{self.bound_mode} bound mode needs a finite positive d_ratio")
+            if self.bound_mode != "quotient":
+                # The same at every anchor: refused before any set-up.
+                _check_bounds(self, *_fixed_bounds(self))
 
 
 @dataclass
@@ -372,11 +375,6 @@ def _coprime_pairs(r_max, s_lo, s_hi):
                for d in range(1, top + 1))
 
 
-# The row filter's wheel: row s makes no remainder for an r that shares a
-# prime of _WHEEL with s, that is for an r not coprime to w = gcd(s, _WHEEL).
-_WHEEL = 30
-
-
 def _wheel(w):
     """(classes, below, gaps) of the r coprime to w: their residues in
     [1, w], how many of those are <= t at t = 0..w-1, and the gap from each
@@ -386,12 +384,15 @@ def _wheel(w):
             [b - a for a, b in zip(classes, classes[1:] + [w + 1])])
 
 
-_WHEELS = {w: _wheel(w) for w in range(1, _WHEEL + 1) if _WHEEL % w == 0}
+# The row filter's wheel, mitm_table.ROW_MODULUS: row s makes no remainder
+# for an r that shares a prime of it with s, that is for an r not coprime to
+# w = gcd(s, ROW_MODULUS).
+_WHEELS = {w: _wheel(w) for w in range(1, ROW_MODULUS + 1) if ROW_MODULUS % w == 0}
 
 
 def _walks(r_max, p1):
-    """The walk of each row s, by s mod _WHEEL: the r >= 1 coprime to
-    w = gcd(s, _WHEEL), in order, as (w, phi, classes, below, steps, top),
+    """The walk of each row s, by s mod ROW_MODULUS: the r >= 1 coprime to
+    w = gcd(s, ROW_MODULUS), in order, as (w, phi, classes, below, steps, top),
     with classes and below those of _wheel(w) and phi = len(classes). The
     i-th r, from 0, is r_i = (i // phi) * w + classes[i % phi], and top
     counts the r_i <= r_max. steps are the gaps r_{i+1} - r_i times p1 from
@@ -400,7 +401,7 @@ def _walks(r_max, p1):
     walks = {w: (w, len(classes), classes, below, [g * p1 for g in gaps] * 2,
                  r_max // w * len(classes) + below[r_max % w])
              for w, (classes, below, gaps) in _WHEELS.items()}
-    return [walks[gcd(s, _WHEEL)] for s in range(_WHEEL)]
+    return [walks[gcd(s, ROW_MODULUS)] for s in range(ROW_MODULUS)]
 
 
 def _rank(walk, r):
@@ -450,7 +451,7 @@ def _scan_rows(n, e, p0, q0, p1, q1, r_max, s_lo, s_hi, minus_form):
     for s in range(s_lo, s_hi):
         sp0 = s * p0
         if p1:
-            walk = walks[s % _WHEEL]
+            walk = walks[s % ROW_MODULUS]
             found = _walk_zeros(s * dl - p1, sp0, p1, 0, walk, 0)
             if r_lo <= r_max:
                 r_lo = max(sp0 // p1, s * q0 // q1) + 1
@@ -641,21 +642,6 @@ class _Side:
         return fps
 
 
-def _drop_index(stats, side):
-    """Charge the probes and rows of side's index to stats and let it go."""
-    stats.probes += side.index.probes
-    stats.rows_examined += side.index.rows_examined
-    stats.rows_skipped += side.index.rows_skipped
-    side.index = None
-
-
-def _note(stats, sides):
-    """Note the bytes the sides' indexes and pending arrays hold together in
-    stats.table_bytes, a peak."""
-    stats.table_bytes = max(stats.table_bytes, sum(
-        side.index.nominal_bytes + sys.getsizeof(side.pending) for side in sides))
-
-
 def _stage_bounds(r_max, s_max, s_top=0):
     """(r_top, r_end, s_top, s_end) of each stage of a mitm window: the r
     and s it holds before the stage, from 0 and s_top, and the bounds the
@@ -671,22 +657,28 @@ def _stage_bounds(r_max, s_max, s_top=0):
 class _Window:
     """What the anchor loop (_anchor_windows) asks of a window of anchor m:
     stages(), which yields each stage's (k, d) pairs to try, in order, then
-    close() after a recovery or hand_off() once the stages run out. The
+    close() after a recovery or hand_off() once the stages run out; a
+    stage lets an index go early with close(*kept) itself. The
     indexes a window holds are those of its s side, if any, and of its r
     streams; the first stream is its plus stream."""
 
     s_side, streams, keep = None, (), 0
 
-    def close(self, kept=None):
-        """Note the bytes the indexes hold together in stats.table_bytes,
-        then charge each index's probes and rows to stats and let it go, all
-        but kept's."""
+    def close(self, *kept):
+        """Note the bytes the indexes and pending arrays hold together in
+        stats.table_bytes, a peak, then charge each index's probes and rows
+        to stats and let it go, all but those of the sides kept."""
+        stats = self.stats
         sides = [side for side in (self.s_side, *self.streams)
                  if side is not None and side.index is not None]
-        _note(self.stats, sides)
+        stats.table_bytes = max(stats.table_bytes, sum(
+            side.index.nominal_bytes + sys.getsizeof(side.pending) for side in sides))
         for side in sides:
-            if side is not kept:
-                _drop_index(self.stats, side)
+            if side not in kept:
+                stats.probes += side.index.probes
+                stats.rows_examined += side.index.rows_examined
+                stats.rows_skipped += side.index.rows_skipped
+                side.index = None
 
     def hand_off(self):
         """Close the exhausted window. When keep, its plus stream keeps its
@@ -780,8 +772,7 @@ class _StageWindow(_Window):
                 if r_end == r_max:
                     # No later r is looked up in the s side: let its
                     # index go before the streams grow for the last time.
-                    _note(stats, [s_side, *streams])
-                    _drop_index(stats, s_side)
+                    self.close(*streams)
                 for stream, fps in zip(streams, segments):
                     if s_top < s_max:
                         stream.index.extend(fps)
@@ -831,13 +822,15 @@ def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = N
 
     context is the key's set-up under cfg.approx (key_context), made here
     when None; a caller that searches one key more than once passes its
-    own. An even n splits as 2 * (n // 2) before any set-up or search, and
-    vvt or mitm bounds the same at every anchor (explicit, fixed4d) are
-    held to the variant's cap next (_check_bounds), before the set-up or
-    any power is made. When a mitm search makes the context and the power
-    B = 2^e mod n is worth splitting (workers.ways), B is made on a worker
-    meanwhile and handed to the anchor loop, which charges it only if the
-    first window opens.
+    own. cfg.validate() comes first: it holds vvt or mitm bounds the same
+    at every anchor (explicit, fixed4d) to the variant's cap. An even n
+    then splits as 2 * (n // 2) before any set-up or search. When a mitm
+    search under such bounds makes the context and the power B = 2^e mod n
+    is worth splitting (workers.ways), B is made on a worker meanwhile and
+    handed to the anchor loop, which charges it only if the first window
+    opens. Quotient bounds need the context, so a quotient search makes it
+    here, and the loop makes B once the first anchor's bounds pass: nothing
+    is forked before they do.
     """
     cfg.validate()
     stats = Stats()
@@ -845,11 +838,10 @@ def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = N
     try:
         if pub.n % 2 == 0:
             return AttackResult("gcd-break", p=2, q=pub.n // 2, stats=stats)
-        if cfg.variant != "wiener" and cfg.bound_mode != "quotient":
-            _check_bounds(cfg, *_fixed_bounds(cfg))
         base = None
         if context is None:
-            if cfg.variant == "mitm" and workers.ways(_muls(pub.e), pub.n.bit_length()) > 1:
+            if (cfg.variant == "mitm" and cfg.bound_mode != "quotient"
+                    and workers.ways(_muls(pub.e), pub.n.bit_length()) > 1):
                 context, base = workers.run(_call, [
                     (key_context, pub, cfg.approx), (_power, 2, pub.e, pub.n)])
             else:

@@ -8,8 +8,8 @@ from operator import itemgetter
 from . import workers
 # anchor_index is not called here. It stays importable as bench.anchor_index,
 # a name perfbench/spans.py traces (test_every_traced_name_exists).
-from .attack import (AttackConfig, _check_bounds, _m_candidates, anchor_index,  # noqa: F401
-                     key_context, run_attack)
+from .attack import (AttackConfig, _m_candidates, anchor_index, key_context,  # noqa: F401
+                     run_attack)
 from .rsa import MIN_D_RATIO, GenerationError, keygen_weak
 
 # (bound on r, bound on s) as multiples of D.
@@ -80,7 +80,6 @@ def success_table(bits, d_ratio, trials, seed, *, approx="plain"):
     )
     # Refused here, before any key is made or any job sent.
     cfg.validate()
-    _check_bounds(cfg, cfg.r_max, cfg.s_max)
     ways = workers.ways(trials, KEY_OPS * bits)
     parts = workers.run(_count_rows, [(bits, (d_ratio, trials, seed, i, ways), cfg, bounds)
                                       for i in range(ways)])

@@ -20,7 +20,7 @@ unfiltered probe, or one into an index without a row bound, counts no rows.
 """
 
 import sys
-from functools import lru_cache
+from functools import cache
 from itertools import compress, count as _count
 from math import gcd
 
@@ -91,7 +91,7 @@ def power_chain_fps(start, mult, n, count, mask):
     return fps, count - 1, cur
 
 
-@lru_cache(maxsize=None)
+@cache
 def _admitted_rows(n_rows):
     """Per s mod 30, how many of the row classes r = 1..n_rows have
     gcd(r, s, 30) = 1. Eight distinct patterns: which of 2, 3, 5 divide s."""

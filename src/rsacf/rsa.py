@@ -4,6 +4,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isfinite, prod
 from typing import NamedTuple
 
@@ -154,9 +155,7 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     return bases is not None and _mr_rounds(n, bases)
 
 
-_PROVING_ROUNDS = {}  # bits -> _proving_rounds(bits), filled as asked
-
-
+@cache
 def _proving_rounds(bits: int) -> int:
     """How many Miller-Rabin rounds, to the first of its 64 drawn bases,
     prove a random bits-bit candidate prime in _prime_pair.
@@ -174,14 +173,10 @@ def _proving_rounds(bits: int) -> int:
     64 where no t in it reaches 2^-128: up to 256 bits. It is 12 at 512
     bits and 6 at 1024.
     """
-    t = _PROVING_ROUNDS.get(bits)
-    if t is None:
-        in_range = range(3, min(_MR_ROUNDS_BIG, bits // 9) + 1)
-        t = next((t for t in in_range
-                  if bits**1.5 * 2**t / t**0.5 * 4 ** (2 - (t * bits) ** 0.5) <= 2**-128),
-                 _MR_ROUNDS_BIG)
-        _PROVING_ROUNDS[bits] = t
-    return t
+    in_range = range(3, min(_MR_ROUNDS_BIG, bits // 9) + 1)
+    return next((t for t in in_range
+                 if bits**1.5 * 2**t / t**0.5 * 4 ** (2 - (t * bits) ** 0.5) <= 2**-128),
+                _MR_ROUNDS_BIG)
 
 
 def _prime_pair(rng: random.Random, bits: int):

@@ -4,6 +4,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 
 import pytest
@@ -19,7 +20,7 @@ from rsacf import (
     vvt_exhaustive,
     wiener_classic,
 )
-from rsacf import attack, contfrac, workers
+from rsacf import attack, bench, contfrac, workers
 from rsacf.attack import APPROX_MODES, BOUND_MODES, VARIANTS, anchor_index
 from rsacf.cli import main
 from rsacf.numeric import isqrt
@@ -198,10 +199,24 @@ class TestAttackConfig:
         {"variant": "vvt", "r_max": -3, "s_max": 4},        # non-positive bound
         {"variant": "mitm", "bound_mode": "quotient", "d_ratio": float("inf")},
         {"variant": "vvt", "bound_mode": "fixed4d", "d_ratio": float("nan")},
+        {"variant": "mitm", "r_max": 2**22 + 1, "s_max": 1},       # a side over the cap
+        {"variant": "vvt", "r_max": 2**14 + 1, "s_max": 2**14},    # a box over the cap
+        {"variant": "mitm", "bound_mode": "fixed4d", "d_ratio": 2**21},  # 4D over the cap
+        {"variant": "vvt", "bound_mode": "fixed4d", "d_ratio": 1e308},   # 4D not finite
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             AttackConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"variant": "mitm", "r_max": 2**22, "s_max": 2**22},
+        {"variant": "vvt", "r_max": 2**14, "s_max": 2**14},
+        {"variant": "mitm", "bound_mode": "fixed4d", "d_ratio": 2**20},
+        {"variant": "wiener", "r_max": 2**40, "s_max": 2**40},  # no window
+        {"variant": "mitm", "bound_mode": "quotient", "d_ratio": 2**40},  # per anchor
+    ])
+    def test_bounds_at_or_under_the_cap_admitted(self, kwargs):
+        AttackConfig(**kwargs).validate()
 
 
 class TestWienerClassic:
@@ -515,6 +530,34 @@ class TestQuotientBounds:
                     checked += 1
         assert checked >= 60
         assert max(used.values()) <= 1, used
+
+    def test_m_prime_box_holds_what_later_boxes_hold(self):
+        # A key that a later anchor's quotient box holds, m' + 1's or
+        # m' + 2's, lies in m''s box too: in the plus form (0 <= s) and
+        # with the minus form's |s|. So a quotient search of m' alone would
+        # miss no key that the later anchors hold. Keys with no m' and keys
+        # the Wiener pass recovers are skipped.
+        checked, later = 0, 0
+        for bits, D, seed in product((96, 128), (4, 16, 64), range(60)):
+            pub, priv = keygen_weak(bits, D, seed)
+            d, k = priv.d, (pub.e * priv.d - 1) // priv.phi
+            for approx in APPROX_MODES:
+                cfg = AttackConfig(bound_mode="quotient", d_ratio=D, approx=approx)
+                context = attack.key_context(pub, approx)
+                if context.m_prime is None or context.wiener is not None:
+                    continue
+                held = []  # per anchor: (plus form, minus form's |s|)
+                for m in attack._m_candidates(context, cfg):
+                    r, s = bench._rs_at(context.cf, m, d, k)
+                    r_max, s_max = attack._bounds_for(cfg, context.cf, m)
+                    held.append((1 <= r <= r_max and 0 <= s <= s_max,
+                                 1 <= r <= r_max and abs(s) <= s_max))
+                for form in (0, 1):
+                    if any(box[form] for box in held[1:]):
+                        later += 1
+                        assert held[0][form], (bits, D, approx, seed, held)
+                checked += 1
+        assert checked >= 500 and later > 0
 
     @pytest.mark.parametrize("approx", APPROX_MODES)
     def test_next_s_bound_covers_this_r_bound(self, approx):
@@ -948,6 +991,20 @@ class TestRunAttack:
                          AttackConfig(variant=variant, r_max=4, s_max=4))
         assert res.outcome == "gcd-break"
         assert (res.p, res.q) == (2, n // 2)
+
+    @pytest.mark.parametrize("variant, bounds, message", [
+        ("mitm", {"r_max": 2**23, "s_max": 1}, "exceed the cap"),
+        ("vvt", {"r_max": 2**15, "s_max": 2**15}, "exceed the cap"),
+        ("mitm", {"bound_mode": "fixed4d", "d_ratio": 1e308}, "not finite"),
+    ], ids=["mitm-over-cap", "vvt-over-cap", "fixed4d-not-finite"])
+    def test_even_modulus_with_refused_bounds(self, variant, bounds, message):
+        # Bounds the same at every anchor are refused by validate(), before
+        # the even-n split; wiener searches no window, so it splits n.
+        pub = PublicKey(194, 3)
+        with pytest.raises(ValueError, match=message):
+            run_attack(pub, AttackConfig(variant=variant, **bounds))
+        res = run_attack(pub, AttackConfig(variant="wiener", **bounds))
+        assert (res.outcome, res.p, res.q) == ("gcd-break", 2, 97)
 
     @pytest.mark.parametrize("failure", ["not-finite", "over-cap"])
     @pytest.mark.parametrize("bounds, argv", [

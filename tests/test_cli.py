@@ -340,6 +340,37 @@ def test_mitm_cap_refused_before_any_job(tmp_path, capsys, monkeypatch, flags):
     assert (code, out, err) == want
 
 
+def test_quotient_cap_refused_before_any_job(tmp_path, capsys, monkeypatch):
+    # A 1024-bit key whose first anchor's quotient s bound is over the cap.
+    # Its set-up is made here, not beside 2^e on a worker, and the first
+    # anchor refuses the bounds before B = 2^e mod n is made.
+    pub, _ = keygen_weak(1024, 65536, 1005)
+    key = tmp_path / "k.txt"
+    write_key(key, pub)
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
+    assert workers.ways(attack._muls(pub.e), pub.n.bit_length()) == 2
+    powers_of_2, mod_pow = [], attack.mod_pow
+
+    def counted(base, exp, n):
+        if base == 2:
+            powers_of_2.append(exp)
+        return mod_pow(base, exp, n)
+
+    def no_job(*args):
+        raise AssertionError("a job list was run")
+
+    monkeypatch.setattr(attack, "mod_pow", counted)
+    monkeypatch.setattr(workers, "run", no_job)
+    with pytest.raises(ValueError, match="exceed the cap"):
+        attack.run_attack(pub, attack.AttackConfig(
+            bound_mode="quotient", d_ratio=65536, approx="improved"))
+    code, out, err = run(capsys, "attack", "--key", str(key), "--variant", "mitm",
+                         "--bound-mode", "quotient", "--d-ratio", "65536", "--improved-approx")
+    assert (code, out, err) == (
+        2, "", "rsacf: mitm bounds (91601, 23719175) exceed the cap of 4194304 per side\n")
+    assert powers_of_2 == []
+
+
 @pytest.mark.parametrize("argv", [
     ("attack", "--variant", "vvt", "--rmax", "1000000", "--smax", "1000000"),
     ("attack", "--variant", "vvt", "--bound-mode", "fixed4d", "--d-ratio", "1e5"),

@@ -237,6 +237,27 @@ def test_split_set_up_matches_serial(monkeypatch, d_ratio, outcome, lists):
     assert bool(serial_exps) == (d_ratio == 4)
 
 
+def test_quotient_set_up_made_here(monkeypatch):
+    # Quotient bounds need the key's set-up, so a quotient search makes it
+    # in this process, and B = 2^e mod n once the first anchor's bounds
+    # pass: on 2 CPUs the only list is the first window's two powers. The
+    # key of D = 16 is found at m' in the first stage, whose 64-step chains
+    # do not split, so every counter is the one-CPU run's.
+    pub, _ = keygen_weak(1024, 16, 0)
+    cfg = AttackConfig(bound_mode="quotient", d_ratio=16)
+    monkeypatch.setattr(workers, "_cpus", lambda: 1)
+    serial = run_attack(pub, cfg)
+    monkeypatch.setattr(workers, "_cpus", lambda: 2)
+    sent = _jobs_sent(monkeypatch)
+    split = run_attack(pub, cfg)
+    assert sent == ["_power"]
+    assert split.recovered and split.stats.m_tried == 1
+    assert (serial.d, serial.k, serial.p, serial.q) == (split.d, split.k, split.p, split.q)
+    a, b = asdict(serial.stats), asdict(split.stats)
+    del a["wall_time"], b["wall_time"]
+    assert a == b
+
+
 def test_no_fork_runs_serially(monkeypatch):
     pub, _ = keygen_weak(96, 2**16, 11)
     cfg = AttackConfig(variant="vvt", r_max=256, s_max=256)
