@@ -276,7 +276,7 @@ def _check_bounds(cfg, r_max, s_max):
 def _anchor_windows(context, cfg, stats, base=None):
     """The loop every engine shares, over the key's context: the context's
     Wiener pass, charged to stats, then per anchor index m a window
-    (_ScanWindow for vvt; for mitm _StageWindow, or _RootWindow at m = -1),
+    (_ScanWindow for vvt, _StageWindow for mitm at every m, -1 included),
     which searches the (r, s) box around convergents m and m + 1, bar the
     corners r = 1, s = 0 and r = 0, s = 1 that the Wiener pass tried. Each
     stage of a window gives its (k, d) pairs, tried here in order
@@ -311,7 +311,7 @@ def _anchor_windows(context, cfg, stats, base=None):
             base = mod_pow(2, pub.e, pub.n) if base is None else base
         follows = ms[i + 1:i + 2] == [m + 1]
         keep = follows * (r_max if cfg.bound_mode == "quotient" else min(r_max, s_max))
-        kind = _ScanWindow if cfg.variant == "vvt" else _StageWindow if m >= 0 else _RootWindow
+        kind = _ScanWindow if cfg.variant == "vvt" else _StageWindow
         window = kind(pub, cfg, stats, cf.convergent(m) + cf.convergent(m + 1),
                       r_max, s_max, keep, side, base)
         for pairs in window.stages():
@@ -659,8 +659,8 @@ class _Window:
     stages(), which yields each stage's (k, d) pairs to try, in order, then
     close() after a recovery or hand_off() once the stages run out; a
     stage lets an index go early with close(*kept) itself. The
-    indexes a window holds are those of its s side, if any, and of its r
-    streams; the first stream is its plus stream."""
+    indexes a window holds are those of its s side and of its r streams;
+    the first stream is its plus stream."""
 
     s_side, streams, keep = None, (), 0
 
@@ -719,6 +719,11 @@ class _StageWindow(_Window):
     B, made and charged by the anchor loop. One opened without such a side
     pays two powers of about q bits, B^(q0) and B^(q1), as one job list
     (_powers); given one, it pays one, a = B^(q1), and one chain per stream.
+    Anchor -1 is no exception: there q0 = 0, so B^(q0) = 1 and the s side
+    2*A_{-2}^-s is the constant 2, and a^r == 2 exactly when 4*a^-r == 2.
+    Its window costs what any first window costs: r_max + s_max chain
+    steps and one inverse, and with the minus form r_max steps and one
+    inverse more.
 
     A stage with bound T covers r <= min(T, r_max) and s <= min(T, s_max)
     (_stage_bounds). A stage looks the r streams' new segments up in the s
@@ -743,19 +748,16 @@ class _StageWindow(_Window):
             side.pending = array("Q")
             side.index.row_bound = 0  # r is looked up in it now
             a = _pow(base, q1, n, stats)
-        elif q0:
+        else:
             b, a = _powers(base, (q0, q1), n, stats)
             side = _Side(2, _inv(b, n, stats))
-        else:
-            a = _pow(base, q1, n, stats)
-        halved = side is not None and side.const == 1  # the s side is A_{m-1}^s
-        minus_stream = cfg.probe_minus_form and q0 != 0
-        a_inv = _inv(a, n, stats) if halved or minus_stream else None
+        halved = side.const == 1  # the s side is A_{m-1}^s
+        a_inv = _inv(a, n, stats) if halved or cfg.probe_minus_form else None
         forms = [(2, a_inv) if halved else (1, a), ((n + 1) // 2, a) if halved else (4, a_inv)]
         self.pub, self.cfg, self.stats, self.anchor = pub, cfg, stats, anchor
-        self.r_max, self.s_max, self.keep = r_max, s_max, keep
-        self.s_side = side  # None at anchor -1
-        self.streams = [_Side(const, mult, r_max) for const, mult in forms[:1 + minus_stream]]
+        self.r_max, self.s_max, self.keep, self.s_side = r_max, s_max, keep, side
+        self.streams = [_Side(const, mult, r_max)
+                        for const, mult in forms[:1 + cfg.probe_minus_form]]
 
     def stages(self):
         n, stats, gcd_rows, keep = self.pub.n, self.stats, self.cfg.gcd_rows, self.keep
@@ -795,25 +797,6 @@ class _StageWindow(_Window):
         p0, q0, p1, q1 = self.anchor
         return [(r * p1 + t * p0, r * q1 + t * q0)
                 for t, r in ((-s if sign else s, r) for s, sign, r in sorted(hits))]
-
-
-class _RootWindow(_StageWindow):
-    """Anchor -1's window. There q0 = 0: A_{-2} = 1, the s side is the
-    constant 2 and the congruence is a^r == 2 whatever s is. The window
-    makes and indexes only a^r, its plus stream, looks 2 up in it once per
-    stage, and tries each match with every s of the stage in the same
-    order."""
-
-    def stages(self):
-        n, stats, cfg, plus = self.pub.n, self.stats, self.cfg, self.streams[0]
-        for r_top, r_end, s_top, s_end in _stage_bounds(self.r_max, self.s_max):
-            if r_top < r_end:
-                plus.index.extend(plus.grow(r_end, n, stats))
-                rs = plus.index.probe(2)  # the r whose a^r matches 2
-            yield self._pairs([(s, sign, r) for r in rs
-                               for s in range(1 if r > r_top else s_top + 1, s_end + 1)
-                               if not (cfg.gcd_rows and gcd(r, s, ROW_MODULUS) > 1)
-                               for sign in range(1 + cfg.probe_minus_form)])
 
 
 def run_attack(pub: PublicKey, cfg: AttackConfig, context: KeyContext | None = None

@@ -57,8 +57,7 @@ def _record_windows(monkeypatch):
             return kind(pub, cfg, stats, anchor, r_max, s_max, keep, side, base)
         return record
 
-    for name in ("_StageWindow", "_RootWindow"):
-        monkeypatch.setattr(attack, name, recorder(getattr(attack, name)))
+    monkeypatch.setattr(attack, "_StageWindow", recorder(attack._StageWindow))
     return windows
 
 
@@ -534,9 +533,11 @@ class TestQuotientBounds:
     def test_m_prime_box_holds_what_later_boxes_hold(self):
         # A key that a later anchor's quotient box holds, m' + 1's or
         # m' + 2's, lies in m''s box too: in the plus form (0 <= s) and
-        # with the minus form's |s|. So a quotient search of m' alone would
-        # miss no key that the later anchors hold. Keys with no m' and keys
-        # the Wiener pass recovers are skipped.
+        # with the minus form's |s|. So for these keys, whose d is about the
+        # assumed D, a quotient search of m' alone would miss no key that
+        # the later anchors hold; keys with d several times D it would
+        # (test_keys_found_through_a_shared_side's quotient keys). Keys with
+        # no m' and keys the Wiener pass recovers are skipped.
         checked, later = 0, 0
         for bits, D, seed in product((96, 128), (4, 16, 64), range(60)):
             pub, priv = keygen_weak(bits, D, seed)
@@ -681,14 +682,27 @@ class TestMitmAttack:
                 recovered += mitm.recovered
         assert 0 < recovered < 3 * len(keys)
 
+    def test_generated_keys_have_an_anchor(self):
+        # A search opens anchor -1 only when m_candidates names it or the
+        # key has no m' (contfrac.locate_m_prime, odd when found), when
+        # every index is tried. keygen_weak's keys have an m' under both
+        # targets, so anchor -1 serves only crafted or unbalanced keys.
+        for bits, ratio, seed in product((96, 128, 256), (4, 16, 64, 256), range(10)):
+            pub, _ = keygen_weak(bits, ratio, seed)
+            for approx in APPROX_MODES:
+                assert attack.key_context(pub, approx).m_prime is not None, (
+                    bits, ratio, seed, approx)
+
     def test_anchor_minus_one_window_is_linear(self, monkeypatch):
-        # At anchor -1 the s side is the constant 2 and d = r, so the
-        # window builds only the chain a^r = 2^(e*r), one step per r from 1
-        # after the power 2^e, and looks 2 up in its index once per stage.
-        # It costs about what any other anchor's window does (about 0.1 s);
-        # storing the S repeats of a constant stream in quadratic time
-        # took 2 s. A segment split over workers adds one power a range
-        # after its first, below the segment's length.
+        # At anchor -1, q0 = 0: B^(q0) = 1, so the s side is the constant 2
+        # and d = r. The window is a first window like any other: after the
+        # powers 2^e, B^0 and B^1 and the inverse of B^0, the chains a^r and
+        # 2 take one step per r and per s, and every r past the first stage
+        # and every s is looked up. It takes about 0.1 s; storing the S
+        # repeats of a constant side in quadratic time took 2 s. On 2 CPUs
+        # each segment of 2^13 or more steps is split, and its second range
+        # starts from a power below the segment's length.
+        monkeypatch.setattr(workers, "_cpus", lambda: 2)
         pub, _ = keygen_weak(96, 2**20, 123)
         exps = []
         charged = attack._charge
@@ -703,9 +717,10 @@ class TestMitmAttack:
                                            m_candidates=(-1,)))
         elapsed = time.perf_counter() - t0
         assert res.outcome == "exhausted"
-        assert exps[0] == pub.e and all(x <= 1 << 15 for x in exps[1:])
-        assert res.stats.modmuls == (1 << 16) + sum(map(_pow_cost, exps))
-        assert res.stats.probes == 11  # stages 64, 128, ..., 2^16
+        assert exps[:3] == [pub.e, 0, 1] and all(x <= 1 << 15 for x in exps[3:])
+        assert len(exps) == 3 + 6  # segments 2^13, 2^14, 2^15 of both chains
+        assert res.stats.modmuls == 2 * (1 << 16) + sum(map(_pow_cost, exps)) + 1 == 131306
+        assert res.stats.probes == (1 << 16) - 64 + (1 << 16) == 131008
         assert elapsed < 1
 
     @pytest.mark.parametrize("d_ratio, seed, outcome, gcd_rows", [
@@ -961,8 +976,7 @@ class TestMitmAttack:
             return record
 
         monkeypatch.setattr(attack, "mod_pow", counted)
-        for name in ("_StageWindow", "_RootWindow"):
-            monkeypatch.setattr(attack, name, recorder(getattr(attack, name)))
+        monkeypatch.setattr(attack, "_StageWindow", recorder(attack._StageWindow))
         res = run_attack(pub, cfg)
         assert (res.outcome, res.d, res.k) == ("exhausted", None, None)
         assert vvt_exhaustive(pub, cfg).outcome == "exhausted"

@@ -176,7 +176,7 @@ class TestProbe:
 
     def test_equal_fingerprints_cost_linear_time(self):
         # Each repeat of a fingerprint is appended in place, so 2^16 equal
-        # fingerprints, as the constant stream at anchor -1 gives, take
+        # fingerprints, as anchor -1 indexes of its constant s side 2, take
         # milliseconds; copying the exponents per repeat would take seconds.
         count = 1 << 16
         table = FingerprintTable(32)

@@ -173,7 +173,8 @@ def _serial_primes(seed, bits):
 class TestSplitSearch:
     # keygen_weak searches each key's primes over every CPU: it screens the
     # first rounds of several candidates at once and proves two primes'
-    # other rounds in one list. Every key is the one-CPU search's.
+    # other rounds in one list. Every key, on 2 CPUs or 3, is the one-CPU
+    # search's.
     @pytest.mark.parametrize("bits", [130, 256, 512])
     def test_keys_match_one_cpu(self, monkeypatch, bits):
         args = [(bits, ratio, seed) for seed in (0, 1, 0xC0FFEE) for ratio in (0.5, 16)]
@@ -181,10 +182,11 @@ class TestSplitSearch:
         try:
             serial = [keygen_weak(*a) for a in args]
             assert set(lists) == {1}
-            monkeypatch.setattr(workers, "_cpus", lambda: 2)
-            del lists[:]
-            assert [keygen_weak(*a) for a in args] == serial
-            assert set(lists) == {2}
+            for cpus in (2, 3):
+                monkeypatch.setattr(workers, "_cpus", lambda cpus=cpus: cpus)
+                del lists[:]
+                assert [keygen_weak(*a) for a in args] == serial
+                assert set(lists) == {cpus}
         finally:
             workers.shutdown()
 

@@ -124,9 +124,9 @@ class TestScanBlocks:
         assert attack.vvt_scan(*args) == _one_pass(args)
 
 
-def _mitm(pub, monkeypatch, min_work):
-    """run_attack at R = S = 2^14 with the given threshold, and the
-    exponents of every power charged to it."""
+def _mitm(pub, monkeypatch, min_work, cpus=2):
+    """run_attack at R = S = 2^14 with the given threshold on cpus CPUs,
+    and the exponents of every power charged to it."""
     exps = []
     charged = attack._charge
 
@@ -136,20 +136,22 @@ def _mitm(pub, monkeypatch, min_work):
 
     with monkeypatch.context() as mp:
         mp.setattr(workers, "MIN_WORK", min_work)
-        mp.setattr(workers, "_cpus", lambda: 2)
+        mp.setattr(workers, "_cpus", lambda: cpus)
         mp.setattr(attack, "_charge", record)
         res = run_attack(pub, AttackConfig(r_max=1 << 14, s_max=1 << 14))
     return res, Counter(exps)
 
 
-@pytest.mark.parametrize("d_ratio, seed, outcome", [
-    (2**20, 7, "exhausted"), (4, 1, "recovered")], ids=["exhausted", "recovered"])
-def test_split_chains_match_serial(monkeypatch, d_ratio, seed, outcome):
+@pytest.mark.parametrize("d_ratio, seed, outcome, cpus", [
+    (2**20, 7, "exhausted", 2), (4, 1, "recovered", 2),
+    (2**20, 7, "exhausted", 3), (4, 1, "recovered", 3),
+], ids=["exhausted", "recovered", "exhausted-3cpus", "recovered-3cpus"])
+def test_split_chains_match_serial(monkeypatch, d_ratio, seed, outcome, cpus):
     # Every counter but modmuls is the serial run's; modmuls is higher by
     # exactly the powers that start the later ranges of a split segment.
     pub, _ = keygen_weak(1024, d_ratio, seed)
     serial, serial_exps = _mitm(pub, monkeypatch, float("inf"))
-    split, split_exps = _mitm(pub, monkeypatch, 0)
+    split, split_exps = _mitm(pub, monkeypatch, 0, cpus)
     assert serial.outcome == split.outcome == outcome
     assert (serial.d, serial.k, serial.p, serial.q) == (split.d, split.k, split.p, split.q)
     a, b = asdict(serial.stats), asdict(split.stats)
