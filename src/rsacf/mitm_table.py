@@ -21,7 +21,7 @@ unfiltered probe, or one into an index without a row bound, counts no rows.
 
 import sys
 from functools import cache
-from itertools import compress, count as _count
+from itertools import compress
 from math import gcd
 
 from .numeric import NotInvertibleError
@@ -100,8 +100,8 @@ def _admitted_rows(n_rows):
 
 
 class FingerprintTable:
-    """Index from fingerprint to exponent. It grows by extend; probes are
-    read-only apart from counters."""
+    """Index from fingerprint to exponent. It grows by extend; a lookup
+    (probe_fp) is read-only apart from counters."""
 
     def __init__(self, w, row_bound=0):
         _check_width(w)
@@ -150,15 +150,14 @@ class FingerprintTable:
                 + sum(map(sys.getsizeof, self._repeats.values()))
                 + self.R * (sys.getsizeof(1 << (self.w - 1)) + sys.getsizeof(self.R)))
 
-    def _rs(self, fp, s, gcd_filter):
-        rs = [self._index[fp], *self._repeats.get(fp, ())] if fp in self._index else []
-        if gcd_filter:
-            return [r for r in rs if gcd(r, s, ROW_MODULUS) == 1]
-        return rs
+    def probe_fp(self, fps, gcd_filter: bool = False, first: int = 1) -> list:
+        """(s, r) for every stored r whose fingerprint equals fps[s - first],
+        in (s, r) order; with the filter, only those with gcd(r, s, 30) = 1.
 
-    def _charge(self, ss, gcd_filter):
-        """Count one probe at each s in the range ss and, with the filter,
-        the row classes it admits (examined) and rules out (skipped)."""
+        Counts one probe at each s = first..first+len(fps)-1 and, with the
+        filter and a row bound, the row classes r mod 30 that each s admits
+        (rows examined) and rules out (rows skipped)."""
+        ss = range(first, first + len(fps))
         self.probes += len(ss)
         n_rows = min(self.row_bound, ROW_MODULUS)
         if gcd_filter and n_rows:
@@ -166,18 +165,9 @@ class FingerprintTable:
             examined = sum(admitted[s % ROW_MODULUS] for s in ss)
             self.rows_examined += examined
             self.rows_skipped += len(ss) * n_rows - examined
-
-    def probe_fp(self, fps, gcd_filter: bool = False, first: int = 1) -> list:
-        """(s, r) for every stored r whose fingerprint equals fps[s - first],
-        in (s, r) order; counts one probe at each s = first..first+len(fps)-1."""
-        self._charge(range(first, first + len(fps)), gcd_filter)
-        hits = []
-        for s in compress(_count(first), map(self._index.__contains__, fps)):
-            hits.extend((s, r) for r in self._rs(fps[s - first], s, gcd_filter))
+        index, repeats, hits = self._index, self._repeats, []
+        for s in compress(ss, map(index.__contains__, fps)):
+            fp = fps[s - first]
+            hits.extend((s, r) for r in (index[fp], *repeats.get(fp, ()))
+                        if not gcd_filter or gcd(r, s, ROW_MODULUS) == 1)
         return hits
-
-    def probe(self, target: int, s: int = 0, gcd_filter: bool = False) -> list:
-        """All stored r whose fingerprint equals that of target, ascending;
-        counts one probe at s."""
-        self._charge(range(s, s + 1), gcd_filter)
-        return self._rs(fingerprint(target, self.w), s, gcd_filter)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from rsacf import (
     AttackConfig,
     FingerprintTable,
+    fingerprint,
     fingerprint_width,
     keygen_weak,
     run_attack,
@@ -166,10 +167,10 @@ def test_criterion_07_fingerprint_behavior(capfd):
         if x in stored:
             continue
         probes += 1
-        collisions += bool(table.probe(x))
+        collisions += bool(table.probe_fp([fingerprint(x, table.w)]))
     small = FingerprintTable.build(3, n, 512)
     false_negs = sum(1 for r in range(1, 513)
-                     if r not in small.probe(pow(3, r, n)))
+                     if (1, r) not in small.probe_fp([fingerprint(pow(3, r, n), small.w)]))
     rate = collisions / probes
     _verdict(capfd, 7, rate < 2**-6 and false_negs == 0,
              f"collision rate {rate:.5f} < 2^-6 over {probes} probes "
@@ -182,7 +183,7 @@ def test_criterion_08_gcd_rows(capfd):
     table = FingerprintTable.build(3, pub.n, 512)
     rng = random.Random(5)
     for s in range(1, 101):
-        table.probe(rng.randrange(2, pub.n), s, gcd_filter=True)
+        table.probe_fp([fingerprint(rng.randrange(2, pub.n), table.w)], True, s)
     fraction = table.rows_skipped / (table.rows_skipped + table.rows_examined)
     # Outcome invariance: every attack in the criterion-2 sweep already ran
     # with gcd rows on and off; re-check a fresh sample here.

@@ -135,18 +135,18 @@ class TestProbe:
         R = 256
         table = FingerprintTable.build(3, N, R)
         for r in range(1, R + 1):
-            assert r in table.probe(pow(3, r, N))
+            assert (1, r) in table.probe_fp([fingerprint(pow(3, r, N), table.w)])
 
     def test_hits_ascending(self):
         table = FingerprintTable.build(3, N, 256)
         for r in (1, 100, 256):
-            hits = table.probe(pow(3, r, N))
+            hits = [j for _, j in table.probe_fp([fingerprint(pow(3, r, N), table.w)])]
             assert hits == sorted(hits)
 
     def test_miss_on_absent_value(self):
         table = FingerprintTable.build(3, N, 64, w=64)
         # Full-width fingerprints make collisions impossible here.
-        assert table.probe(pow(3, 65, N)) == []
+        assert table.probe_fp([fingerprint(pow(3, 65, N), table.w)]) == []
 
     def test_duplicate_fingerprints(self):
         # 2^12 entries in 16-bit fingerprints: many fingerprints repeat.
@@ -158,7 +158,8 @@ class TestProbe:
             shared.setdefault(low[r], []).append(r)
         assert len(shared) < R
         for r in range(1, R + 1):
-            assert table.probe(pow(3, r, N)) == shared[low[r]]
+            hits = table.probe_fp([fingerprint(pow(3, r, N), w)])
+            assert [j for _, j in hits] == shared[low[r]]
 
     @pytest.mark.parametrize("gcd_filter", [False, True])
     def test_bulk_probe_matches_single_probes(self, gcd_filter):
@@ -168,9 +169,9 @@ class TestProbe:
         # Half the stream is stored powers, half random residues.
         targets = [pow(3, rng.randrange(1, R + 1), N) if i % 2 else
                    rng.randrange(2, N) for i in range(600)]
-        expected = [(s, r) for s, x in enumerate(targets, 1)
-                    for r in table.probe(x, s, gcd_filter)]
         fps = [fingerprint(x, w) for x in targets]
+        expected = [hit for s, fp in enumerate(fps, 1)
+                    for hit in table.probe_fp([fp], gcd_filter, s)]
         assert table.probe_fp(fps, gcd_filter) == expected
         assert len(expected) > 100
 
@@ -182,15 +183,15 @@ class TestProbe:
         table = FingerprintTable(32)
         t0 = time.perf_counter()
         table.extend([2] * count)
-        hits = table.probe(2)
+        hits = table.probe_fp([fingerprint(2, table.w)])
         elapsed = time.perf_counter() - t0
-        assert hits == list(range(1, count + 1))
+        assert hits == [(1, r) for r in range(1, count + 1)]
         assert elapsed < 1
 
     def test_counters(self):
         # Without the gcd filter a probe visits no row classes.
         table = FingerprintTable.build(3, N, 64)
-        table.probe(pow(3, 5, N))
+        table.probe_fp([fingerprint(pow(3, 5, N), table.w)])
         assert table.probes == 1
         assert table.rows_examined == table.rows_skipped == 0
 
@@ -201,9 +202,9 @@ class TestGcdRows:
         table = FingerprintTable.build(3, N, R)
         for s in range(1, 31):
             for r in random.Random(s).sample(range(1, R + 1), 8):
-                target = pow(3, r, N)
-                plain = table.probe(target, s)
-                filtered = table.probe(target, s, gcd_filter=True)
+                fps = [fingerprint(pow(3, r, N), table.w)]
+                plain = [j for _, j in table.probe_fp(fps, False, s)]
+                filtered = [j for _, j in table.probe_fp(fps, True, s)]
                 assert set(filtered) <= set(plain)
                 for hit in plain:
                     if gcd(hit, s) == 1:
@@ -213,7 +214,7 @@ class TestGcdRows:
         table = FingerprintTable.build(3, N, 512)
         rng = random.Random(0)
         for s in range(1, 61):
-            table.probe(rng.randrange(2, N), s, gcd_filter=True)
+            table.probe_fp([fingerprint(rng.randrange(2, N), table.w)], True, s)
         assert table.rows_skipped > 0
         total = table.rows_skipped + table.rows_examined
         assert table.rows_skipped / total >= 0.25
