@@ -723,6 +723,39 @@ class TestMitmAttack:
         assert res.stats.probes == (1 << 16) - 64 + (1 << 16) == 131008
         assert elapsed < 1
 
+    def test_no_minus_stream_at_anchor_minus_one_below_one(self, monkeypatch):
+        # Under a target below 1, a_0 = 0, so anchor -1's p1 is 0 and every
+        # minus pair has k = r*p1 - s*p0 = -s < 1: the window makes no minus
+        # stream, and the search reads the Stats of one without the minus
+        # form, 2^16 steps of a^r and of 2 and the charged powers.
+        monkeypatch.setattr(workers, "_cpus", lambda: 1)
+        pub, _ = keygen_weak(96, 2**20, 123)
+        assert attack.key_context(pub).cf.quotient(0) == 0
+        plain, minus = (run_attack(pub, AttackConfig(
+            r_max=1 << 16, s_max=1 << 16, m_candidates=(-1,), probe_minus_form=form))
+            for form in (False, True))
+        assert minus.outcome == plain.outcome == "exhausted"
+        assert replace(minus.stats, wall_time=0) == replace(plain.stats, wall_time=0)
+        assert (minus.stats.modmuls, minus.stats.probes) == (131222, 131008)
+
+    def test_minus_stream_at_anchor_minus_one_from_one(self, monkeypatch):
+        # With e + phi(n) in place of e the target is above 1, so anchor
+        # -1's p1 = a_0 >= 1 and a minus pair's k = r*a_0 - s can reach 1:
+        # the window makes the minus stream, and agrees with the oracle.
+        indexes = _record_indexes(monkeypatch)
+        primes, d = (1009, 1000000007), 37
+        phi = prod(p - 1 for p in primes)
+        pub = PublicKey(prod(primes), pow(d, -1, phi) + phi)
+        assert attack.key_context(pub).cf.quotient(0) >= 1
+        for r_max, s_max in ((64, 64), (64, 16)):
+            for form, streams in ((False, 1), (True, 2)):
+                indexes.clear()
+                cfg = AttackConfig(r_max=r_max, s_max=s_max, probe_minus_form=form,
+                                   m_candidates=(-1,))
+                oracle, mitm = vvt_exhaustive(pub, cfg), run_attack(pub, cfg)
+                assert (mitm.outcome, mitm.d, mitm.k) == (oracle.outcome, oracle.d, oracle.k)
+                assert len(indexes) == 1 + streams  # the s side's and a stream's each
+
     @pytest.mark.parametrize("d_ratio, seed, outcome, gcd_rows", [
         (2**20, 123, "exhausted", True),
         (16, 0, "recovered", True),  # beyond Wiener, so recovered inside a window
