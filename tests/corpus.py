@@ -13,8 +13,9 @@ bits, and some of those with e + phi(n) for e, a target of at least 1.
 Each key is searched by the Wiener pass and by a few seeded draws of
 bounds (explicit, fixed4d, quotient), target, minus form, gcd rows and
 anchor list (None, (-1,), (0, -1), (m', m'+2), (m'+1, m')), each draw by
-vvt and by mitm, on one CPU; a few larger searches run on two CPUs,
-where chains and row blocks split.
+vvt and by mitm, on one CPU. Moduli with a prime of at most 7 are
+searched with the minus form (DENSE), and a few larger searches run on
+two CPUs, where chains and row blocks split.
 
 Nothing runs at import. As a script it prints each line that moved, the
 expected line then the one got, or with --write rewrites the file:
