@@ -89,7 +89,7 @@ class AttackConfig:
                     f"{self.bound_mode} bound mode needs a finite positive d_ratio")
             if self.bound_mode != "quotient":
                 # The same at every anchor: refused before any set-up.
-                _check_bounds(self, *_fixed_bounds(self))
+                _check_bounds(self, *_bounds(self))
 
 
 @dataclass
@@ -224,42 +224,57 @@ def wiener_classic(pub: PublicKey) -> AttackResult:
     return run_attack(pub, AttackConfig(variant="wiener"))
 
 
-def _m_candidates(context, cfg):
-    """The anchor indices a search with cfg tries, in order; bench answers
-    its success rows from the same list."""
-    if cfg.variant == "wiener":
-        return []  # the Wiener pass alone
-    top = len(context.cf) - 2  # need convergent m+1
-    if cfg.m_candidates is not None:
-        return [m for m in cfg.m_candidates if -1 <= m <= top]
-    m_prime = context.m_prime
-    if m_prime is None:
-        return list(range(-1, top + 1))
-    return [m for m in (m_prime, m_prime + 1, m_prime + 2) if m <= top]
-
-
-def _fixed_bounds(cfg):
-    """(r_max, s_max) at every anchor under explicit or fixed4d bounds."""
+def _bounds(cfg, cf=None, m=None):
+    """(r_max, s_max) of anchor m of the expansion cf: cfg's own under
+    explicit bounds, 4 * d_ratio on each side under fixed4d, and
+    contfrac.rs_bounds' under quotient bounds, the only mode that reads cf
+    and m. validate() passes neither: it makes the bounds the same at
+    every anchor. Bounds that are not finite are refused."""
     if cfg.bound_mode == "explicit":
         return cfg.r_max, cfg.s_max
-    bound = 4 * cfg.d_ratio
-    if not isfinite(bound):
-        raise ValueError(f"fixed4d bounds are not finite (d_ratio {cfg.d_ratio!r})")
-    return max(1, ceil(bound)), max(1, ceil(bound))
-
-
-def _bounds_for(cfg, cf, m):
-    if cfg.bound_mode != "quotient":
-        return _fixed_bounds(cfg)
     try:
-        r, s = contfrac.rs_bounds(
-            cf.quotient(m + 1), cf.quotient(m + 2), cf.quotient(m + 3), cfg.d_ratio,
-            cfg.approx)
+        if cfg.bound_mode == "fixed4d":
+            r = s = 4 * cfg.d_ratio
+        else:
+            r, s = contfrac.rs_bounds(cf.quotient(m + 1), cf.quotient(m + 2),
+                                      cf.quotient(m + 3), cfg.d_ratio, cfg.approx)
         return max(1, ceil(r)), max(1, ceil(s))
     except OverflowError:
         # An infinite bound, or a partial quotient beyond the float range.
-        raise ValueError(f"quotient bounds at anchor index {m} are not finite"
+        at = f" at anchor index {m}" if cfg.bound_mode == "quotient" else ""
+        raise ValueError(f"{cfg.bound_mode} bounds{at} are not finite"
                          f" (d_ratio {cfg.d_ratio!r})") from None
+
+
+def _windows(context, cfg):
+    """(m, r_max, s_max, keep) of each anchor m that a search with cfg
+    opens, in order, with its bounds (_bounds), made as the anchor is
+    reached: bounds refused at a later anchor raise only there. wiener
+    opens none. Without cfg.m_candidates the anchors are m', m' + 1 and
+    m' + 2, or every index when the key has no m'; any anchor past the
+    expansion's last but one (convergent m + 1 is needed) is dropped.
+    bench answers its success rows from the same anchors.
+
+    keep is how many fingerprints of anchor m's plus stream it hands on
+    as anchor m + 1's s side, when m + 1 is opened next, else 0: as many as
+    m + 1 reads of it. That anchor's s_max is s_max at every anchor under
+    explicit and fixed4d bounds, and at least r_max(m) under quotient
+    bounds, where both hold t3 * (a_{m+2} + 1) * D (contfrac.rs_bounds),
+    so keep needs no bounds of m + 1.
+    """
+    if cfg.variant == "wiener":
+        return  # the Wiener pass alone
+    m_prime, top = context.m_prime, len(context.cf) - 2
+    if cfg.m_candidates is not None:
+        ms = [m for m in cfg.m_candidates if -1 <= m <= top]
+    elif m_prime is None:
+        ms = range(-1, top + 1)
+    else:
+        ms = range(m_prime, min(m_prime + 3, top + 1))
+    for m, after in zip(ms, [*ms[1:], None]):
+        r_max, s_max = _bounds(cfg, context.cf, m)
+        keep = r_max if cfg.bound_mode == "quotient" else min(r_max, s_max)
+        yield m, r_max, s_max, (after == m + 1) * keep
 
 
 def _check_bounds(cfg, r_max, s_max):
@@ -283,34 +298,27 @@ def _anchor_windows(context, cfg, stats, base=None):
     (_first_recovered); the first recovery ends the search, and every pair
     tried before it collides.
 
-    An anchor's bounds are made and checked (_check_bounds) when it opens,
-    so bounds that are not finite or over a cap at a later anchor refuse
-    the search only once it gets there. Once the first anchor's bounds
-    pass, a mitm search makes B = 2^e mod n, or takes the B given here,
-    charges it once and gives it to every window. When anchor m + 1 is
-    searched next, window m keeps the first keep fingerprints of its plus
-    stream, as many as anchor m + 1 reads of it as its s side, and hands
-    them on (hand_off). That anchor's s_max is s_max at every anchor under
-    explicit and fixed4d bounds, and at least r_max(m) under quotient
-    bounds, where both hold t3 * (a_{m+2} + 1) * D (contfrac.rs_bounds),
-    so keep needs no bounds of m + 1.
+    The anchors, their bounds and keep come from _windows, one at a time,
+    and the loop checks each anchor's bounds (_check_bounds) when it opens
+    it, so bounds that are not finite or over a cap at a later anchor
+    refuse the search only once it gets there. Once the first anchor's
+    bounds pass, a mitm search makes B = 2^e mod n, or takes the B given
+    here, charges it once and gives it to every window. Where keep is not
+    0, window m hands its plus stream on to anchor m + 1 as its s side,
+    with at least its first keep fingerprints stored (hand_off).
     """
     stats.method1_trials += context.wiener_trials
     if context.wiener is not None:
         return AttackResult("recovered", *context.wiener, stats)
     pub, cf = context.pub, context.cf
-    ms = _m_candidates(context, cfg)
     side = None  # the plus stream the window before hands on
-    for i, m in enumerate(ms):
+    for i, (m, r_max, s_max, keep) in enumerate(_windows(context, cfg)):
         stats.m_tried += 1
-        r_max, s_max = _bounds_for(cfg, cf, m)
         _check_bounds(cfg, r_max, s_max)
         if cfg.variant == "mitm" and i == 0:
             # n is odd, so the powers of 2 are units and invertible.
             _charge(pub.e, stats)
             base = mod_pow(2, pub.e, pub.n) if base is None else base
-        follows = ms[i + 1:i + 2] == [m + 1]
-        keep = follows * (r_max if cfg.bound_mode == "quotient" else min(r_max, s_max))
         kind = _ScanWindow if cfg.variant == "vvt" else _StageWindow
         window = kind(pub, cfg, stats, cf.convergent(m) + cf.convergent(m + 1),
                       r_max, s_max, keep, side, base)
@@ -575,16 +583,11 @@ def _call(fn, *args):
     return fn(*args)
 
 
-def _pow(base, exp, n, stats):
-    """mod_pow, charged to stats.modmuls."""
-    _charge(exp, stats)
-    return mod_pow(base, exp, n)
-
-
 def _powers(base, exps, n, stats):
     """[base^x mod n for x in exps], each charged to stats.modmuls, in one
     job list over workers.run when their multiplications are worth
-    splitting (workers.ways)."""
+    splitting (workers.ways). A list of one power is made in this process
+    either way, since workers.run runs a one-job list here."""
     muls = sum(_charge(x, stats) for x in exps)
     jobs = [(base, x, n) for x in exps]
     if workers.ways(muls, n.bit_length()) == 1:
@@ -630,7 +633,7 @@ class _Side:
         jobs, lo = [], 0
         for i in range(1, ways + 1):
             hi = count * i // ways
-            start = self.last * (_pow(mult, lo + 1, n, stats) if lo else mult) % n
+            start = self.last * (_powers(mult, (lo + 1,), n, stats)[0] if lo else mult) % n
             jobs.append((start, mult, n, hi - lo, (1 << MITM_WIDTH) - 1, lo > 0))
             lo = hi
         stats.modmuls += count
@@ -751,7 +754,7 @@ class _StageWindow(_Window):
             side.index.extend(side.pending)
             side.pending = array("Q")
             side.index.row_bound = 0  # r is looked up in it now
-            a = _pow(base, q1, n, stats)
+            a, = _powers(base, (q1,), n, stats)
         else:
             b, a = _powers(base, (q0, q1), n, stats)
             side = _Side(2, _inv(b, n, stats))

@@ -8,7 +8,7 @@ from operator import itemgetter
 from . import workers
 # anchor_index is not called here. It stays importable as bench.anchor_index,
 # a name perfbench/spans.py traces (test_every_traced_name_exists).
-from .attack import (AttackConfig, _m_candidates, anchor_index, key_context,  # noqa: F401
+from .attack import (AttackConfig, _windows, anchor_index, key_context,  # noqa: F401
                      run_attack)
 from .rsa import MIN_D_RATIO, GenerationError, keygen_weak
 
@@ -132,7 +132,7 @@ def _rows_recovered(pub, cfg, bounds):
         return [False] * len(bounds)
     if not result.stats.m_tried:
         return [True] * len(bounds)  # the Wiener pass, which every row runs
-    plus = [_rs_at(cf, m, result.d, result.k) for m in _m_candidates(context, cfg)]
+    plus = [_rs_at(cf, m, result.d, result.k) for m, *_ in _windows(context, cfg)]
     rescue = None
     if m_prime is not None and m_prime + 1 <= len(cf) - 2:
         rescue = _rs_at(cf, m_prime + 1, result.d, result.k)

@@ -88,14 +88,17 @@ def keys():
 
 
 def _boxes(pub, cfg):
-    """The (r_max, s_max) of each anchor a search of pub with cfg opens,
-    up to the first whose bounds are refused."""
-    context, boxes = key_context(pub, cfg.approx), []
-    for m in attack._m_candidates(context, cfg):
-        try:
-            boxes.append(attack._bounds_for(cfg, context.cf, m))
-        except ValueError:
-            break
+    """The (r_max, s_max) of each anchor a search of pub with cfg opens
+    (attack._windows), up to the first whose bounds are not finite: the
+    draws of such a search are kept, and its refusal, if the search gets
+    there, is a line. A box over the variant's cap is kept, and MAX_PAIRS,
+    far below either cap, then passes the draw over."""
+    boxes = []
+    try:
+        for _, r_max, s_max, _ in attack._windows(key_context(pub, cfg.approx), cfg):
+            boxes.append((r_max, s_max))
+    except ValueError:
+        pass
     return boxes
 
 

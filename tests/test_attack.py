@@ -4,7 +4,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd, prod
 
 import pytest
@@ -43,17 +43,17 @@ def _key(primes, d):
 
 
 def _record_windows(monkeypatch):
-    """Record (p0, q0, p1, q1, r_max, s_max) of every mitm window opened,
-    and check that a window is given the previous one's side exactly when
-    its anchor follows that one's, and B alone only if first."""
+    """Record (p0, q0, p1, q1, r_max, s_max, keep) of every mitm window
+    opened, and check that a window is given the previous one's side
+    exactly when its anchor follows that one's, and B = 2^e mod n always."""
     windows = []
 
     def recorder(kind):
         def record(pub, cfg, stats, anchor, r_max, s_max, keep, side, base):
             follows = bool(windows) and windows[-1][2:4] == anchor[:2]
             assert (side is not None) == follows
-            assert base is None or side is not None or not windows
-            windows.append((*anchor, r_max, s_max))
+            assert base == pow(2, pub.e, pub.n)
+            windows.append((*anchor, r_max, s_max, keep))
             return kind(pub, cfg, stats, anchor, r_max, s_max, keep, side, base)
         return record
 
@@ -517,11 +517,10 @@ class TestQuotientBounds:
                     if (k, d) in cf.convergents:
                         continue
                     fractions = []
-                    for m in attack._m_candidates(context, cfg):
+                    for m, r_max, s_max, _ in attack._windows(context, cfg):
                         (p0, q0), (p1, q1) = cf.convergent(m), cf.convergent(m + 1)
                         det = q1 * p0 - q0 * p1
                         r, s = (d * p0 - k * q0) * det, (q1 * k - p1 * d) * det
-                        r_max, s_max = attack._bounds_for(cfg, cf, m)
                         if r >= 1:
                             fractions.append(max(r / r_max, abs(s) / s_max))
                     used[approx, D] = max(used.get((approx, D), 0),
@@ -548,9 +547,8 @@ class TestQuotientBounds:
                 if context.m_prime is None or context.wiener is not None:
                     continue
                 held = []  # per anchor: (plus form, minus form's |s|)
-                for m in attack._m_candidates(context, cfg):
+                for m, r_max, s_max, _ in attack._windows(context, cfg):
                     r, s = bench._rs_at(context.cf, m, d, k)
-                    r_max, s_max = attack._bounds_for(cfg, context.cf, m)
                     held.append((1 <= r <= r_max and 0 <= s <= s_max,
                                  1 <= r <= r_max and abs(s) <= s_max))
                 for form in (0, 1):
@@ -575,7 +573,7 @@ class TestQuotientBounds:
             cfg = AttackConfig(bound_mode="quotient", approx=approx,
                                d_ratio=rng.choice((2**-8, 0.5, 1, 3.7, 2**16)))
             for m in range(-1, len(cf) - 2):
-                assert attack._bounds_for(cfg, cf, m + 1)[1] >= attack._bounds_for(cfg, cf, m)[0]
+                assert attack._bounds(cfg, cf, m + 1)[1] >= attack._bounds(cfg, cf, m)[0]
 
 
 class TestMitmAttack:
@@ -629,10 +627,7 @@ class TestMitmAttack:
         # Keep the oracle's quadratic work small: at most 2^14 (r, s) pairs
         # over all anchors tried.
         context = attack.key_context(pub, approx)
-        cf = context.cf
-        anchors = attack._m_candidates(context, cfg)
-        assume(sum(r * s for r, s in (attack._bounds_for(cfg, cf, m) for m in anchors))
-               <= 1 << 14)
+        assume(sum(r * s for _, r, s, _ in attack._windows(context, cfg)) <= 1 << 14)
         oracle, mitm = vvt_exhaustive(pub, cfg), run_attack(pub, cfg)
         event(f"{bound_mode} {oracle.outcome}")
         assert mitm.outcome == oracle.outcome
@@ -834,7 +829,7 @@ class TestMitmAttack:
         assert res.outcome == "exhausted"
         assert len(windows) == 3
         matches = modmuls = 0
-        for i, (p0, q0, p1, q1, _, _) in enumerate(windows):
+        for i, (p0, q0, p1, q1, *_) in enumerate(windows):
             a, b = pow(2, e * q1, n), pow(2, e * q0, n)
             halved = i % 2  # the s side is b^s
             if i == 0:
@@ -915,7 +910,7 @@ class TestMitmAttack:
         res = run_attack(pub, AttackConfig(variant="mitm", r_max=1 << 14, s_max=1 << 14))
         assert res.recovered and res.d == priv.d
         assert res.stats.m_tried == 1
-        (_, q0, _, q1, _, _), = windows
+        (_, q0, _, q1, *_), = windows
         powers = _pow_cost(pub.e) + _pow_cost(q0) + _pow_cost(q1) + 1
         assert res.stats.modmuls - powers < 1 << 9
 
@@ -943,7 +938,7 @@ class TestMitmAttack:
         assert mitm.recovered and mitm.d == priv.d
         assert (mitm.outcome, mitm.d, mitm.k) == (oracle.outcome, oracle.d, oracle.k)
         assert mitm.stats.m_tried == oracle.stats.m_tried == m_tried
-        (r_prev, _), (_, s_max) = (w[4:] for w in windows[-2:])
+        (r_prev, _), (_, s_max) = (w[4:6] for w in windows[-2:])
         p0, q0, p1, q1 = windows[-1][:4]
         s = (q1 * mitm.k - p1 * mitm.d) * (q1 * p0 - q0 * p1)
         if "r_max" in bounds:
@@ -1019,6 +1014,80 @@ class TestMitmAttack:
         assert res.stats.modmuls == 701 - attack._muls(pub.e)
 
 
+def _expansion_key(quotients):
+    """PublicKey(n, e) with e/n = [0; quotients]."""
+    x = Fraction(quotients[-1])
+    for a in reversed(quotients[:-1]):
+        x = a + 1 / x
+    return PublicKey((1 / x).denominator, (1 / x).numerator)
+
+
+class TestWindows:
+    M = anchor_index(keygen_weak(96, 2**20, 123)[0])  # m' = 15 under the plain target
+
+    @pytest.mark.parametrize("key, cfg", [
+        ((96, 2**20, 123), AttackConfig(r_max=100, s_max=60)),
+        ((96, 2**20, 123), AttackConfig(bound_mode="fixed4d", d_ratio=20,
+                                        probe_minus_form=True)),
+        ((96, 2**20, 123), AttackConfig(bound_mode="quotient", d_ratio=4)),
+        ((96, 2**20, 123), AttackConfig(r_max=16, s_max=40, m_candidates=(-1, 0, 1))),
+        # Gapped and out of order; -2, -5 and 10^4 lie outside
+        # [-1, len(cf) - 2] and are dropped.
+        ((96, 2**20, 123), AttackConfig(r_max=32, s_max=32, m_candidates=(
+            M + 2, 10**4, M, -2, M + 1, -5, M + 3))),
+        ((96, 4, 0), AttackConfig(r_max=64, s_max=64)),  # recovered at m'
+        ((96, 2**20, 123), AttackConfig(variant="wiener")),
+    ], ids=["explicit", "fixed4d", "quotient", "anchor-1", "gapped", "recovered",
+            "wiener"])
+    def test_rows_are_the_windows_opened(self, monkeypatch, key, cfg):
+        # The loop opens one window per row of _windows, in order, with its
+        # bounds and keep, until the search ends: every row when exhausted.
+        windows = _record_windows(monkeypatch)
+        pub, _ = keygen_weak(*key)
+        res = run_attack(pub, cfg)
+        context = attack.key_context(pub, cfg.approx)
+        rows = list(attack._windows(context, cfg))
+        cf = context.cf
+        assert windows == [(*cf.convergent(m), *cf.convergent(m + 1), r_max, s_max, keep)
+                           for m, r_max, s_max, keep in rows[:res.stats.m_tried]]
+        assert len(rows) == res.stats.m_tried or res.recovered
+        # keep is as many of anchor m's r as anchor m + 1 reads as its s,
+        # when m + 1 is next.
+        for (m, r_max, _, keep), (after, _, s_next, _) in zip(rows, rows[1:]):
+            assert keep == (after == m + 1) * min(r_max, s_next)
+        assert rows == [] or rows[-1][3] == 0
+        if cfg.variant == "wiener":
+            assert rows == [] and res.stats.m_tried == 0
+        elif cfg.m_candidates is not None and len(cfg.m_candidates) > 3:
+            assert [row[0] for row in rows] == [self.M + 2, self.M, self.M + 1, self.M + 3]
+
+    @pytest.mark.parametrize("big, message", [
+        (2**60, "exceed the cap"), (2**1100, "not finite")])
+    def test_later_anchor_refused_when_reached(self, monkeypatch, big, message):
+        # e/n = [0; 1, 2, 1, big, 3]: anchor 0's quotient box is small, and
+        # anchor 1's reads a_4 = big, over the cap or beyond the float
+        # range. The generator yields anchor 0's row, which the loop opens,
+        # and only then makes anchor 1's bounds: not finite, it raises
+        # there; over the cap, it yields the row, which the loop refuses.
+        windows = _record_windows(monkeypatch)
+        pub = _expansion_key([1, 2, 1, big, 3])
+        cfg = AttackConfig(bound_mode="quotient", d_ratio=1, m_candidates=(0, 1))
+        with pytest.raises(ValueError, match=message):
+            run_attack(pub, cfg)
+        context = attack.key_context(pub)
+        rows = attack._windows(context, cfg)
+        first = next(rows)
+        cf = context.cf
+        assert windows == [(*cf.convergent(0), *cf.convergent(1), *first[1:])]
+        assert first[3] == first[1] > 0  # anchor 1 is next: keep = r_max
+        if big < 2**64:
+            m, r_max, s_max, keep = next(rows)
+            assert m == 1 and max(r_max, s_max) > attack.MITM_MAX_BOUND
+        else:
+            with pytest.raises(ValueError, match=message):
+                next(rows)
+
+
 class TestRunAttack:
     def test_dispatch(self):
         assert run_attack(TOY, AttackConfig(variant="wiener")).recovered
@@ -1074,17 +1143,17 @@ class TestRunAttack:
         assert want[found].recovered and want[found].d == priv.d
         assert want[found].stats.m_tried == 1
         assert want[missed].outcome == "exhausted" and want[missed].stats.m_tried == 3
-        bounds_for = attack._bounds_for
+        bounds = attack._bounds
         m_prime = {attack.key_context(pub).cf: anchor_index(pub) for pub in want}
 
-        def failing(cfg, cf, m):
-            if m == m_prime[cf] + 1:
+        def failing(cfg, cf=None, m=None):
+            if cf in m_prime and m == m_prime[cf] + 1:
                 if failure == "not-finite":
                     raise ValueError(f"quotient bounds at anchor index {m} are not finite")
                 return attack.MITM_MAX_BOUND + 1, attack.MITM_MAX_BOUND + 1
-            return bounds_for(cfg, cf, m)
+            return bounds(cfg, cf, m)
 
-        monkeypatch.setattr(attack, "_bounds_for", failing)
+        monkeypatch.setattr(attack, "_bounds", failing)
         message = "not finite" if failure == "not-finite" else "exceed the cap"
         for pub in (found, missed):
             got = None

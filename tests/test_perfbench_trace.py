@@ -123,8 +123,9 @@ def test_traced_cli_mitm_attack_matches_untraced(tmp_path, monkeypatch):
     # second, at (2^12, 2^10), grows that side to 2^10 entries as its s
     # side while its own r stream reaches 2^10; the first's s side stores
     # nothing. The peak is the shared side and the next side together.
-    bounds = {m: (64, 64), m + 1: (1 << 12, 1 << 10)}
-    monkeypatch.setattr(attack, "_bounds_for", lambda cfg, cf, m: bounds[m])
+    # validate() asks for the bounds with no anchor (m None): the config's.
+    bounds = {None: (1, 1), m: (64, 64), m + 1: (1 << 12, 1 << 10)}
+    monkeypatch.setattr(attack, "_bounds", lambda cfg, cf=None, m=None: bounds[m])
     table_bytes, held = held_by_indexes(attack.AttackConfig(
         variant="mitm", r_max=1, s_max=1, m_candidates=(m, m + 1)))
     assert [index.R for index in indexes] == [0, 1 << 10, 1 << 10]
