@@ -715,22 +715,25 @@ class _StageWindow(_Window):
     A_m^r * A_{m-1}^-s == 2 (the minus form, d = r*q1 - s*q0), with
     anchor = (p0, q0, p1, q1) its convergents m and m + 1. Its s side is
     the chain 2*A_{m-1}^-s or A_{m-1}^s; against it the plus form puts the
-    r stream a^r or 2*a^-r, with a = A_m, and the minus form, where
-    p1 >= 1, 4*a^-r or a^r/2. The plus stream a^r (2*a^-r) of anchor m is
-    the s side A_m^s (2*A_m^-s) of anchor m + 1: when keep is not 0,
-    hand_off returns it, with at least its first keep fingerprints stored.
+    r stream a^r or 2*a^-r, with a = A_m, and the minus form, at every
+    anchor but -1, 4*a^-r or a^r/2. The plus stream a^r (2*a^-r) of
+    anchor m is the s side A_m^s (2*A_m^-s) of anchor m + 1: when keep is
+    not 0, hand_off returns it, with at least its first keep fingerprints
+    stored.
     Every window is given B, made and charged by the anchor loop. One
     opened without such a side pays two powers of about q bits, B^(q0) and
     B^(q1), as one job list (_powers); given one, it pays one, a = B^(q1),
     and one chain per stream.
     Anchor -1 is no exception: there q0 = 0, so B^(q0) = 1 and the s side
     2*A_{-2}^-s is the constant 2, and a^r == 2 exactly when 4*a^-r == 2.
-    Its window costs what any first window costs: r_max + s_max chain
-    steps and one inverse, and with the minus form r_max steps and one
-    inverse more where p1 >= 1. Its p1 is a_0, which is 0 for a target
-    below 1, as e/n is whenever e < n: a minus pair's k = r*p1 - s*p0 =
-    -s is then below 1 at every s, so no minus stream is made, and the
-    window costs the same with the minus form as without.
+    Its window costs what any first window costs, r_max + s_max chain
+    steps and one inverse, with the minus form or without: it makes no
+    minus stream, since no minus pair there can be the key's. There d = r
+    and a minus pair's k = r*a_0 - s <= d*a_0 - 1, while any (d, k) that
+    method1_factor accepts has e*d - 1 = k*phi' with
+    phi' = n + 1 - (p' + q') <= n + 1 - ceil(2*sqrt(n)), so that
+    a_0 <= target <= e/phi' gives k >= d*a_0. So a window makes the minus
+    stream where q0 >= 1, at every m >= 0, where p1 >= 1 as well.
 
     A stage with bound T covers r <= min(T, r_max) and s <= min(T, s_max)
     (_stage_bounds). A stage looks the r streams' new segments up in the s
@@ -749,7 +752,7 @@ class _StageWindow(_Window):
     """
 
     def __init__(self, pub, cfg, stats, anchor, r_max, s_max, keep, side, base):
-        n, (_, q0, p1, q1) = pub.n, anchor
+        n, (_, q0, _, q1) = pub.n, anchor
         if side is not None:
             side.index.extend(side.pending)
             side.pending = array("Q")
@@ -759,7 +762,7 @@ class _StageWindow(_Window):
             b, a = _powers(base, (q0, q1), n, stats)
             side = _Side(2, _inv(b, n, stats))
         halved = side.const == 1  # the s side is A_{m-1}^s
-        minus = cfg.probe_minus_form and p1 >= 1
+        minus = cfg.probe_minus_form and q0 >= 1
         a_inv = _inv(a, n, stats) if halved or minus else None
         forms = [(2, a_inv) if halved else (1, a), ((n + 1) // 2, a) if halved else (4, a_inv)]
         self.pub, self.cfg, self.stats, self.anchor = pub, cfg, stats, anchor

@@ -6,7 +6,7 @@ hash maps each fingerprint to its first exponent; a side hash maps a
 repeated fingerprint to a list of its later exponents, appended in place,
 so each repeat costs O(1). The mitm window (attack._StageWindow) keeps
 one index over its s side and one per r stream (the plus form's, and the
-minus form's at an anchor where p_{m+1} >= 1), all at the width that its
+minus form's at every anchor but -1), all at the width that its
 largest admitted window asks for (attack.MITM_WIDTH), so that an index can
 serve the next anchor whatever its bounds, grows both sides stage by
 stage, and looks each new segment up in bulk in the other side's index,

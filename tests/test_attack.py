@@ -735,21 +735,23 @@ class TestMitmAttack:
 
     def test_minus_stream_at_anchor_minus_one_from_one(self, monkeypatch):
         # With e + phi(n) in place of e the target is above 1, so anchor
-        # -1's p1 = a_0 >= 1 and a minus pair's k = r*a_0 - s can reach 1:
-        # the window makes the minus stream, and agrees with the oracle.
+        # -1's p1 = a_0 >= 1 and a minus pair's k = r*a_0 - s can reach 1,
+        # yet stays below d*a_0 <= the true k (_StageWindow): the window
+        # makes no minus stream there either, and agrees with the oracle,
+        # which tries those pairs.
         indexes = _record_indexes(monkeypatch)
         primes, d = (1009, 1000000007), 37
         phi = prod(p - 1 for p in primes)
         pub = PublicKey(prod(primes), pow(d, -1, phi) + phi)
         assert attack.key_context(pub).cf.quotient(0) >= 1
         for r_max, s_max in ((64, 64), (64, 16)):
-            for form, streams in ((False, 1), (True, 2)):
+            for form in (False, True):
                 indexes.clear()
                 cfg = AttackConfig(r_max=r_max, s_max=s_max, probe_minus_form=form,
                                    m_candidates=(-1,))
                 oracle, mitm = vvt_exhaustive(pub, cfg), run_attack(pub, cfg)
                 assert (mitm.outcome, mitm.d, mitm.k) == (oracle.outcome, oracle.d, oracle.k)
-                assert len(indexes) == 1 + streams  # the s side's and a stream's each
+                assert len(indexes) == 1 + 1  # the s side's and the plus stream's
 
     @pytest.mark.parametrize("d_ratio, seed, outcome, gcd_rows", [
         (2**20, 123, "exhausted", True),
