@@ -228,8 +228,8 @@ def _bounds(cfg, cf=None, m=None):
     """(r_max, s_max) of anchor m of the expansion cf: cfg's own under
     explicit bounds, 4 * d_ratio on each side under fixed4d, and
     contfrac.rs_bounds' under quotient bounds, the only mode that reads cf
-    and m. validate() passes neither: it makes the bounds the same at
-    every anchor. Bounds that are not finite are refused."""
+    and m; validate() passes neither, for the modes whose bounds are the
+    same at every anchor. Bounds that are not finite are refused."""
     if cfg.bound_mode == "explicit":
         return cfg.r_max, cfg.s_max
     try:

@@ -1025,23 +1025,24 @@ def _expansion_key(quotients):
 
 
 class TestWindows:
-    M = anchor_index(keygen_weak(96, 2**20, 123)[0])  # m' = 15 under the plain target
+    M = 15  # m' of keygen_weak(96, 2**20, 123) (test_restricted_window)
 
-    @pytest.mark.parametrize("key, cfg", [
-        ((96, 2**20, 123), AttackConfig(r_max=100, s_max=60)),
+    @pytest.mark.parametrize("key, cfg, anchors", [
+        ((96, 2**20, 123), AttackConfig(r_max=100, s_max=60), [M, M + 1, M + 2]),
         ((96, 2**20, 123), AttackConfig(bound_mode="fixed4d", d_ratio=20,
-                                        probe_minus_form=True)),
-        ((96, 2**20, 123), AttackConfig(bound_mode="quotient", d_ratio=4)),
-        ((96, 2**20, 123), AttackConfig(r_max=16, s_max=40, m_candidates=(-1, 0, 1))),
-        # Gapped and out of order; -2, -5 and 10^4 lie outside
-        # [-1, len(cf) - 2] and are dropped.
+                                        probe_minus_form=True), [M, M + 1, M + 2]),
+        ((96, 2**20, 123), AttackConfig(bound_mode="quotient", d_ratio=4),
+         [M, M + 1, M + 2]),
+        ((96, 2**20, 123), AttackConfig(r_max=16, s_max=40, m_candidates=(-1, 0, 1)),
+         [-1, 0, 1]),
+        # -2, -5 and 10^4 lie outside [-1, len(cf) - 2] and are dropped.
         ((96, 2**20, 123), AttackConfig(r_max=32, s_max=32, m_candidates=(
-            M + 2, 10**4, M, -2, M + 1, -5, M + 3))),
-        ((96, 4, 0), AttackConfig(r_max=64, s_max=64)),  # recovered at m'
-        ((96, 2**20, 123), AttackConfig(variant="wiener")),
+            M + 2, 10**4, M, -2, M + 1, -5, M + 3)), [M + 2, M, M + 1, M + 3]),
+        ((96, 4, 0), AttackConfig(r_max=64, s_max=64), [M, M + 1, M + 2]),  # found at m'
+        ((96, 2**20, 123), AttackConfig(variant="wiener"), []),
     ], ids=["explicit", "fixed4d", "quotient", "anchor-1", "gapped", "recovered",
             "wiener"])
-    def test_rows_are_the_windows_opened(self, monkeypatch, key, cfg):
+    def test_rows_are_the_windows_opened(self, monkeypatch, key, cfg, anchors):
         # The loop opens one window per row of _windows, in order, with its
         # bounds and keep, until the search ends: every row when exhausted.
         windows = _record_windows(monkeypatch)
@@ -1050,6 +1051,7 @@ class TestWindows:
         context = attack.key_context(pub, cfg.approx)
         rows = list(attack._windows(context, cfg))
         cf = context.cf
+        assert [row[0] for row in rows] == anchors
         assert windows == [(*cf.convergent(m), *cf.convergent(m + 1), r_max, s_max, keep)
                            for m, r_max, s_max, keep in rows[:res.stats.m_tried]]
         assert len(rows) == res.stats.m_tried or res.recovered
@@ -1058,10 +1060,48 @@ class TestWindows:
         for (m, r_max, _, keep), (after, _, s_next, _) in zip(rows, rows[1:]):
             assert keep == (after == m + 1) * min(r_max, s_next)
         assert rows == [] or rows[-1][3] == 0
-        if cfg.variant == "wiener":
-            assert rows == [] and res.stats.m_tried == 0
-        elif cfg.m_candidates is not None and len(cfg.m_candidates) > 3:
-            assert [row[0] for row in rows] == [self.M + 2, self.M, self.M + 1, self.M + 3]
+
+    @pytest.mark.parametrize("plus_phi, cfg", [
+        (False, AttackConfig(r_max=100, s_max=60)),
+        (False, AttackConfig(r_max=40, s_max=130, probe_minus_form=True,
+                             approx="improved")),
+        (False, AttackConfig(bound_mode="fixed4d", d_ratio=20, probe_minus_form=True)),
+        (False, AttackConfig(bound_mode="quotient", d_ratio=4)),
+        (False, AttackConfig(r_max=32, s_max=32, probe_minus_form=True,
+                             m_candidates=(M + 2, M, M + 1, M + 3))),
+        (True, AttackConfig(r_max=100, s_max=40, probe_minus_form=True,
+                            m_candidates=(-1, 0, 2))),
+        (False, AttackConfig(r_max=100, s_max=40, probe_minus_form=True,
+                             m_candidates=(-1, 0, 2))),
+    ], ids=["explicit", "explicit-minus", "fixed4d-minus", "quotient", "gapped-minus",
+            "anchor-1-minus-plus-phi", "anchor-1-minus"])
+    def test_modmuls_read_off_the_rows(self, monkeypatch, plus_phi, cfg):
+        # On one CPU no chain is split, so the modmuls of an exhausted
+        # search follow from _windows' rows alone: 2^e once; at each window
+        # B^(q1), and B^(q0) with its inverse unless a side is handed on;
+        # one inverse more for a minus stream (q0 >= 1) or a halved s side
+        # A_{m-1}^s, every other window of a run of consecutive anchors;
+        # and each stage's chain steps (_stage_bounds), r_max per stream
+        # and the s side's growth past what it holds, which for a side
+        # handed on is the previous anchor's r_max.
+        monkeypatch.setattr(workers, "_cpus", lambda: 1)
+        pub, priv = keygen_weak(96, 2**20, 123)
+        if plus_phi:
+            pub = PublicKey(pub.n, pub.e + priv.phi)  # a_0 = 1
+        res = run_attack(pub, cfg)
+        assert res.outcome == "exhausted"
+        context = attack.key_context(pub, cfg.approx)
+        modmuls, top, halved = attack._muls(pub.e), 0, False
+        for m, r_max, s_max, keep in attack._windows(context, cfg):
+            (_, q0), (_, q1) = context.cf.convergent(m), context.cf.convergent(m + 1)
+            halved = top > 0 and not halved
+            streams = 1 + (cfg.probe_minus_form and q0 >= 1)
+            modmuls += attack._muls(q1) + (top == 0) * (attack._muls(q0) + 1)
+            modmuls += halved or streams == 2
+            modmuls += sum(streams * (r_end - r_top) + max(0, s_end - s_top) for
+                           r_top, r_end, s_top, s_end in attack._stage_bounds(r_max, s_max, top))
+            top = r_max if keep else 0
+        assert res.stats.modmuls == modmuls
 
     @pytest.mark.parametrize("big, message", [
         (2**60, "exceed the cap"), (2**1100, "not finite")])
