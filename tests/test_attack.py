@@ -4,7 +4,7 @@ import random
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from math import gcd, prod
 
 import pytest
